@@ -5,13 +5,12 @@ value found.  The family is expected to stay bounded away from zero
 there; the scan is the empirical check.
 
 Usage:
-    python scripts/premodular_boundary.py 2 --threads 4
+    python scripts/premodular_boundary.py 2
 """
 
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from tvspec import (
     boundary_nonvanishing_scan,
@@ -26,9 +25,8 @@ def main(argv=None):
     ap.add_argument("--rs", type=int, nargs=2, default=(20, 20),
                     metavar=("NR", "NS"), help="(r, s) grid (default 20 20)")
     ap.add_argument("--tau-count", type=int, default=60,
-                    help="boundary samples per arc piece (default 60)")
+                    help="boundary tau samples in all (default 60)")
     ap.add_argument("--floor", type=float, default=1e-8)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     rs = rs_grid_default(args.rs[0], args.rs[1])
@@ -37,13 +35,8 @@ def main(argv=None):
           f"= {len(rs) * len(taus)} evaluations")
 
     t0 = time.perf_counter()
-    if args.threads > 1:
-        with ThreadPoolExecutor(args.threads) as pool:
-            out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus,
-                                             floor=args.floor, mapper=pool.map)
-    else:
-        out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus,
-                                         floor=args.floor)
+    out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus,
+                                     floor=args.floor)
     dt = time.perf_counter() - t0
 
     r, s, tau = out["argmin"]

@@ -4,12 +4,11 @@ report how the spectral polynomial's root pattern behaves against the
 class predicted by the sign conditions.
 
 Usage:
-    python scripts/qpoly_tau_scan.py 1 0 0 1 --b 0.5:2.0:31 --threads 4
+    python scripts/qpoly_tau_scan.py 1 0 0 1 --b 0.5:2.0:31
 """
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,7 +25,6 @@ def main(argv=None):
     ap.add_argument("n", nargs=4, type=int, help="multiplicities n0 n1 n2 n3")
     ap.add_argument("--b", default="0.5:2.0:31", metavar="LO:HI:NUM",
                     help="aspect ratios to sample (default 0.5:2.0:31)")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     n = tuple(args.n)
@@ -34,11 +32,7 @@ def main(argv=None):
     print(f"tuple {n}: genus {genus_of(n)}, "
           f"condition class {condition_class(n)}")
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(args.threads) as pool:
-            result = tau_scan(n, b_values, mapper=pool.map)
-    else:
-        result = tau_scan(n, b_values)
+    result = tau_scan(n, b_values)
 
     print(f"expected classification: {result.expected}")
     print(f"{'b':>8}  {'class':<14} {'max |Im E|':>12} {'min gap':>12}")

@@ -17,8 +17,6 @@ Conventions
       line; everything below it is deterministic for a fixed invocation
     - exit codes: 0 success, 1 usage error, 2 assertion failure,
       3 numerical non-convergence
-    - TVSPEC_THREADS sets the default worker count for per-point fan-out
-      (scan, premodular boundary-scan); output order stays grid order
 """
 
 from __future__ import annotations
@@ -28,10 +26,8 @@ import csv
 import datetime
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,14 +103,6 @@ def parse_rs(text: str) -> tuple:
         return float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"--rs wants r,s, got {text!r}")
-
-
-def default_threads() -> int:
-    raw = os.environ.get("TVSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ── serialization helpers ─────────────────────────────────────────────────
@@ -252,19 +240,14 @@ def cmd_scan(args) -> int:
     bs = parse_grid(args.b)
     if np.any(bs <= 0):
         raise UsageError("--b values must be positive (tau = i*b)")
-    kw = dict(
-        tol_im=args.tol_im, tol_gap=args.tol_gap,
+    res = tau_scan(
+        n, bs, tol_im=args.tol_im, tol_gap=args.tol_gap,
         truncation_tol=args.truncation_tol,
     )
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            res = tau_scan(n, bs, mapper=ex.map, **kw)
-    else:
-        res = tau_scan(n, bs, **kw)
     payload = {
         "version": __version__,
         "command": "scan",
-        "config": {"n": list(n), "b": args.b, "threads": args.threads},
+        "config": {"n": list(n), "b": args.b},
         "tolerances": {
             "tol_im": args.tol_im, "tol_gap": args.tol_gap,
             "truncation_tol": args.truncation_tol,
@@ -426,13 +409,10 @@ def cmd_premodular(args) -> int:
 
     if args.op == "boundary-scan":
         collect = args.format == "csv"
-        kw = dict(floor=args.floor, truncation_tol=args.truncation_tol,
-                  collect=collect)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as ex:
-                res = boundary_nonvanishing_scan(n, mapper=ex.map, **kw)
-        else:
-            res = boundary_nonvanishing_scan(n, **kw)
+        res = boundary_nonvanishing_scan(
+            n, floor=args.floor, truncation_tol=args.truncation_tol,
+            collect=collect,
+        )
         argmin = res["argmin"]
         payload = {
             **base,
@@ -534,9 +514,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=default_threads(),
-                   help="worker threads for per-point fan-out "
-                        "(default TVSPEC_THREADS or 1)")
     p.add_argument("--truncation-tol", type=float, default=1e-14,
                    dest="truncation_tol")
 

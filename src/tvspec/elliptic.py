@@ -230,6 +230,22 @@ def zeta_w(z, L: LatticeData):
     return complex(out) if scalar else out
 
 
+def zeta_wp_wp_prime(z, L: LatticeData):
+    """(zeta(z), wp(z), wp'(z)) from one cell reduction and one theta
+    block; each entry uses the same formula as zeta_w, wp and wp_prime."""
+    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    z_red, m, n = _reduced_or_raise(z, L)
+    th, th1, th2, th3 = _theta1_block(
+        z_red, L.q, L.truncation_tol, im_bound=abs(L.tau.imag) / 2,
+    )
+    zeta = L.eta1 * z_red + th1 / th + m * L.eta1 + n * L.eta2
+    p = -L.eta1 - (th2 * th - th1 * th1) / (th * th)
+    pp = -(th3 * th * th - 3.0 * th2 * th1 * th + 2.0 * th1 ** 3) / th ** 3
+    if scalar:
+        return complex(zeta), complex(p), complex(pp)
+    return zeta, p, pp
+
+
 def wp_half_shift(z, L: LatticeData, k: int):
     """wp(z + w_k/2) through the algebraic half-period identity
 

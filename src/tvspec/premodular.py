@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import LatticeData, make_lattice, wp, wp_prime, zeta_w
+from .elliptic import LatticeData, make_lattice, zeta_w, zeta_wp_wp_prime
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -137,10 +137,8 @@ def z_n(L: LatticeData, r: float, s: float, n: int):
     """Pre-modular form of weight n(n+1)/2 at (r, s) on lattice L."""
     if n == 1:
         return z_rs(L, r, s)
-    zz = r + s * L.tau
-    Z = z_rs(L, r, s)
-    p = wp(zz, L)
-    pp = wp_prime(zz, L)
+    zeta, p, pp = zeta_wp_wp_prime(r + s * L.tau, L)
+    Z = zeta - r * L.eta1 - s * L.eta2
     if n == 2:
         return Z ** 3 - 3.0 * p * Z - pp
     g2, g3 = L.g2, L.g3
@@ -275,50 +273,45 @@ def boundary_nonvanishing_scan(
     floor: float = 1e-8,
     truncation_tol: float = 1e-14,
     collect: bool = False,
-    mapper=map,
 ) -> dict:
     """min |Z^(n)| over (r,s) x boundary tau, with its argmin and a strict
     positivity verdict against ``floor``.  The theorem behind it promises
     nonvanishing for every non-half-torsion (r, s) on the whole boundary;
     the floor is an empirical regression guard, not a proved bound.
 
+    Each lattice is built once and z_n is evaluated on the whole (r, s)
+    grid in one array call.  The argmin is the first minimum in (tau
+    index, grid index) order; a NaN value fails the verdict.
     ``collect=True`` additionally returns every sampled value as rows
-    (r, s, tau, abs) ordered by (tau index, grid index).  ``mapper`` lets
-    callers fan the per-tau work over a thread pool; it must preserve
-    input order (like executor.map)."""
+    (r, s, tau, abs) in that order."""
     if rs_grid is None:
         rs_grid = rs_grid_default()
     if tau_grid is None:
         tau_grid = boundary_tau_samples()
-    rs_grid = [(float(r), float(s)) for r, s in rs_grid]
-
-    def worker(tau):
-        tau = complex(tau)
-        L = make_lattice(tau, truncation_tol=truncation_tol)
-        return [(r, s, tau, float(abs(z_n(L, r, s, n)))) for r, s in rs_grid]
-
-    best = np.inf
-    argmin = None
-    count = 0
-    rows = [] if collect else None
-    for chunk in mapper(worker, np.asarray(tau_grid)):
-        for r, s, tau, v in chunk:
-            count += 1
-            if v < best:
-                best = v
-                argmin = (r, s, tau)
-        if collect:
-            rows.extend(chunk)
+    rs = np.array([(float(r), float(s)) for r, s in rs_grid]).reshape(-1, 2)
+    taus = [complex(t) for t in np.ravel(tau_grid)]
+    r, s = rs[:, 0], rs[:, 1]
+    vals = np.array([
+        np.abs(z_n(make_lattice(tau, truncation_tol=truncation_tol), r, s, n))
+        for tau in taus
+    ])
+    it, ig = np.unravel_index(np.argmin(vals), vals.shape)
+    best = float(vals[it, ig])
     out = {
         "n": n,
         "min_abs": best,
-        "argmin": argmin,
-        "points": count,
+        "argmin": (float(r[ig]), float(s[ig]), taus[it]),
+        "points": vals.size,
         "floor": floor,
         "passed": best > floor,
     }
     if collect:
-        out["rows"] = rows
+        pairs = rs.tolist()
+        out["rows"] = [
+            (rr, ss, tau, v)
+            for tau, row in zip(taus, vals.tolist())
+            for (rr, ss), v in zip(pairs, row)
+        ]
     return out
 
 

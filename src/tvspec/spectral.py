@@ -49,7 +49,7 @@ from .elliptic import (
     wp_series_half,
     wp_series_origin,
 )
-from .errors import CheckError, NotConstructibleError
+from .errors import CheckError, NotConstructibleError, TvspecError
 from .heun import TildeAlpha, p_polynomial
 from .poly import (
     ComplexPoly,
@@ -817,14 +817,12 @@ def tau_scan(
     tol_im: float = 1e-6,
     tol_gap: float = 1e-6,
     truncation_tol: float = 1e-14,
-    mapper=map,
 ) -> ScanResult:
     """Classify the roots of Q along tau = i*b for each b in ``b_values``
     and compare with the class forced by the condition tables: C1/C2 expect
     a complex pair at every b, NEITHER expects real distinct roots at
-    every b.  Per-point failures are collected, not raised.  ``mapper``
-    lets callers fan the independent points over a thread pool; it must
-    preserve input order (like executor.map)."""
+    every b.  Per-point numerical failures (TvspecError, ValueError) are
+    collected, not raised; any other exception propagates."""
     n = _as_tuple(n)
     cls = condition_class(n)
     expected = "has_complex" if cls in ("C1", "C2") else "real_distinct"
@@ -843,13 +841,13 @@ def tau_scan(
                 min_gap=rr.min_gap,
                 roots=rr.roots,
             )
-        except Exception as exc:  # per-point failure, keep scanning
+        except (TvspecError, ValueError) as exc:  # keep scanning
             return ScanPoint(
                 b=b, classification=None, ok=False, max_imag=None,
                 min_gap=None, roots=None, error=f"{type(exc).__name__}: {exc}",
             )
 
-    points = tuple(mapper(worker, b_values))
+    points = tuple(worker(b) for b in b_values)
     failures = sum(1 for p in points if not p.ok)
     return ScanResult(
         n=n,

@@ -5,7 +5,6 @@ test prints exactly one PASS/FAIL summary before asserting.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -248,11 +247,10 @@ def test_10_heun_ladder_interlacing_with_sign_flip():
 def test_11_boundary_nonvanishing_floor():
     floors = {}
     ok = True
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        for n in (1, 2):
-            res = boundary_nonvanishing_scan(n, mapper=ex.map)
-            floors[n] = res["min_abs"]
-            ok = ok and res["passed"] and res["points"] == 400 * 60
+    for n in (1, 2):
+        res = boundary_nonvanishing_scan(n)
+        floors[n] = res["min_abs"]
+        ok = ok and res["passed"] and res["points"] == 400 * 60
     _report(11, "no boundary zeros across 24000-point scans", ok,
             f"floors: n=1 {floors[1]:.3e}, n=2 {floors[2]:.3e}, "
             "all > 1e-8")

@@ -102,16 +102,30 @@ def test_scan_csv_file_and_summary(capsys, tmp_path):
     assert all("real_distinct" in l for l in data)
 
 
-def test_scan_threads_agree(capsys, tmp_path):
+def test_scan_csv_deterministic_modulo_stamp(capsys, tmp_path):
     bodies = []
-    for threads in ("1", "3"):
-        p = tmp_path / f"scan{threads}.csv"
+    for k in (1, 2):
+        p = tmp_path / f"scan{k}.csv"
         code, _, _ = run(capsys, "scan", "--n", "1,0,0,1", "--b", "0.8:1.2:5",
-                         "--format", "csv", "--out", str(p),
-                         "--threads", threads)
+                         "--format", "csv", "--out", str(p))
         assert code == 0
         bodies.append(strip_stamp_csv(p.read_bytes().decode()))
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["qpoly", "--n", "1,0,0,1", "--tau", "0+1i"],
+    ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3"],
+    ["bands", "--n", "1,0,0,0", "--tau", "0+1i", "--E", "-8:8:5"],
+    ["unitary", "--n", "2,0,0,0", "--tau", "0+1i", "--re", "-6:6:2",
+     "--im", "-2:2:2"],
+    ["premodular", "--op", "boundary-scan", "--n", "1"],
+])
+def test_threads_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--threads", "2")
+    assert code == 1
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_bands_payload(capsys):
@@ -170,7 +184,7 @@ def test_premodular_rejects_tuple_n(capsys):
 
 def test_boundary_scan_exit_codes(capsys):
     code, out, _ = run(capsys, "premodular", "--op", "boundary-scan",
-                       "--n", "1", "--threads", "4")
+                       "--n", "1")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True

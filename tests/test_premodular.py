@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tvspec.elliptic import zeta_wp_wp_prime
 from tvspec.errors import NonConvergenceError, PoleError
 from tvspec.premodular import (
+    WEIGHTS,
     PreModularParams,
     boundary_nonvanishing_scan,
     boundary_tau_samples,
@@ -20,6 +22,7 @@ from tvspec.premodular import (
 )
 
 from conftest import lattice
+from oracles import lattice_ref, wp_prime_ref, wp_ref, zeta_ref
 
 
 def test_params_weight_and_validation():
@@ -147,6 +150,94 @@ def test_boundary_scan_small():
     assert min(row[3] for row in res["rows"]) == res["min_abs"]
     r, s, tau = res["argmin"]
     assert (r, s) in ((0.3, 0.3), (0.25, 0.1))
+
+
+@pytest.mark.parametrize("tau", [1j, 0.31 + 1.12j, 1.0 + 0.6j])
+def test_array_z_n_matches_scalar(tau):
+    L = lattice(tau)
+    R, S = np.meshgrid((np.arange(7) + 0.3) / 7, (np.arange(7) + 0.3) / 14)
+    zeta, p, pp = zeta_wp_wp_prime(R + S * tau, L)
+    Z = zeta - R * L.eta1 - S * L.eta2
+    for n in (1, 2, 3, 4):
+        arr = z_n(L, R, S, n)
+        ref = np.array([[z_n(L, r, s, n) for r, s in zip(rr, ss)]
+                        for rr, ss in zip(R, S)])
+        # near lattice points the terms of z_n cancel (for n = 4, |Z|^10
+        # ~ 1e13 against a value ~ 1e5), and both routes round differently;
+        # so compare against the size of the terms, a weight-w monomial
+        terms = np.maximum.reduce([
+            np.abs(Z), np.abs(p) ** 0.5, np.abs(pp) ** (1 / 3),
+            np.full(R.shape, abs(L.g2) ** 0.25),
+        ]) ** WEIGHTS[n]
+        scale = np.maximum(np.abs(ref), terms)
+        assert np.max(np.abs(arr - ref) / scale) < 1e-9, n
+
+
+def test_z2_routes_match_mpmath():
+    for r, s, tau in ((0.3, 0.2, 1.1j), (0.23, 0.36, 0.31 + 1.12j),
+                      (0.7, 0.4, 1.0 + 0.6j), (0.525, 0.4875, 1.0 + 1.42j)):
+        z = r + s * tau
+        eta1 = lattice_ref(tau)["eta1"]
+        eta2 = eta1 * tau - 2j * np.pi
+        Z = zeta_ref(z, tau) - r * eta1 - s * eta2
+        want = Z ** 3 - 3.0 * wp_ref(z, tau) * Z - wp_prime_ref(z, tau)
+        L = lattice(tau)
+        scalar = z_n(L, r, s, 2)
+        array = z_n(L, np.array([r, 0.1]), np.array([s, 0.2]), 2)[0]
+        for got in (scalar, array):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (r, s, tau)
+
+
+def _brute_force_scan(n, rs_grid, taus):
+    best, argmin, rows = np.inf, None, []
+    for tau in taus:
+        L = lattice(complex(tau))
+        for r, s in rs_grid:
+            v = abs(z_n(L, r, s, n))
+            rows.append((r, s, complex(tau), v))
+            if v < best:
+                best, argmin = v, (r, s, complex(tau))
+    return best, argmin, rows
+
+
+def _assert_scan_matches_brute_force(n, rs_grid, taus):
+    res = boundary_nonvanishing_scan(n, rs_grid=rs_grid, tau_grid=taus,
+                                     collect=True)
+    best, argmin, rows = _brute_force_scan(n, rs_grid, taus)
+    assert res["points"] == len(rows) == len(res["rows"])
+    assert res["argmin"] == argmin
+    assert abs(res["min_abs"] - best) <= 1e-12 * best
+    for got, want in zip(res["rows"], rows):
+        assert got[:3] == want[:3]
+        assert all(type(x) in (float, complex) for x in got)
+        assert abs(got[3] - want[3]) <= 1e-9 * want[3]
+    return res
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_boundary_scan_matches_brute_force(n):
+    rs = rs_grid_default(4, 3)
+    _assert_scan_matches_brute_force(n, rs, boundary_tau_samples(9))
+
+
+def test_boundary_scan_tie_goes_to_first_point():
+    rs = rs_grid_default(4, 3)
+    taus = list(boundary_tau_samples(9))
+    r, s, tau = boundary_nonvanishing_scan(2, rs_grid=rs,
+                                           tau_grid=taus)["argmin"]
+    # the minimizer again later in both the grid and the tau list
+    res = _assert_scan_matches_brute_force(2, rs + [(r, s)], taus + [tau])
+    ties = [row for row in res["rows"] if row[3] == res["min_abs"]]
+    assert len(ties) == 4
+    assert res["argmin"] == ties[0][:3] == (r, s, tau)
+
+
+def test_boundary_scan_rejects_lattice_points_and_empty_grids():
+    with pytest.raises(PoleError):
+        boundary_nonvanishing_scan(2, rs_grid=[(0.3, 0.3), (1.0, 0.0)],
+                                   tau_grid=[1j, 1.5j])
+    with pytest.raises(ValueError):
+        boundary_nonvanishing_scan(2, rs_grid=[], tau_grid=[1j])
 
 
 def test_sample_generators():

@@ -1,0 +1,28 @@
+"""Smoke tests of the command line scripts on tiny inputs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,argv,first", [
+    ("premodular_boundary", ["1", "--rs", "4", "4", "--tau-count", "6"],
+     "Z^(1): 16 (r, s) samples x 6 boundary tau = 96 evaluations"),
+    ("qpoly_tau_scan", ["1", "0", "0", "1", "--b", "0.8:1.2:3"],
+     "tuple (1, 0, 0, 1): genus 1, condition class C2"),
+])
+def test_script_runs(capsys, name, argv, first):
+    assert load(name).main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == first
+    assert len(lines) > 2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvspec.errors import CheckError, NotConstructibleError
+from tvspec import spectral
+from tvspec.errors import CheckError, NonConvergenceError, NotConstructibleError
 from tvspec.poly import ComplexPoly, coefficient_distance, match_roots
 from tvspec.spectral import (
     MultiplicityTuple,
@@ -214,14 +215,28 @@ def test_tau_scan_collects_failures_and_orders_points():
     assert all(len(p.roots) == 3 for p in res.points)
 
 
-def test_tau_scan_mapper_matches_sequential():
-    from concurrent.futures import ThreadPoolExecutor
+def test_tau_scan_lets_programming_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug, not a data point")
 
-    bs = [0.7, 0.9, 1.1, 1.3]
-    seq = tau_scan((2, 0, 0, 0), bs)
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        par = tau_scan((2, 0, 0, 0), bs, mapper=ex.map)
-    assert seq.passed and par.passed
-    for a, b in zip(seq.points, par.points):
-        assert a.b == b.b and a.classification == b.classification
-        assert np.allclose(a.roots, b.roots)
+    monkeypatch.setattr(spectral, "spectral_report", broken)
+    with pytest.raises(TypeError):
+        tau_scan((1, 0, 0, 1), [0.8, 1.0])
+
+
+def test_tau_scan_records_numerical_failures(monkeypatch):
+    real = spectral.spectral_report
+
+    def flaky(L, n, **kwargs):
+        if abs(L.tau - 1j) < 1e-12:
+            raise NonConvergenceError("budget exhausted")
+        return real(L, n, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectral_report", flaky)
+    res = tau_scan((1, 0, 0, 1), [0.8, 1.0, 1.2])
+    assert [p.b for p in res.points] == [0.8, 1.0, 1.2]
+    assert res.failures == 1 and not res.passed
+    bad = res.points[1]
+    assert bad.classification is None and not bad.ok
+    assert bad.error == "NonConvergenceError: budget exhausted"
+    assert res.points[0].ok and res.points[2].ok
