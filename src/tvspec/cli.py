@@ -39,7 +39,7 @@ from .errors import (
     NotConstructibleError,
     PoleError,
 )
-from .hill import make_problem, stability_set_1d, trace_on_grid, unitarity_grid
+from .hill import make_problem, stability_set_1d, unitarity_grid
 from .premodular import (
     WEIGHTS,
     boundary_nonvanishing_scan,
@@ -287,7 +287,6 @@ def cmd_bands(args) -> int:
         prob, grid[0], grid[-1], num=len(grid), direction=args.direction,
         edge_tol=args.edge_tol, im_tol=args.im_tol,
     )
-    deltas = trace_on_grid(prob, grid, args.direction)
     payload = {
         "version": __version__,
         "command": "bands",
@@ -313,7 +312,7 @@ def cmd_bands(args) -> int:
             "index": i, "E": float(e), "re_delta": float(d.real),
             "im_delta": float(d.imag), "inside": bool(abs(d.real) <= 2.0),
         }
-        for i, (e, d) in enumerate(zip(grid, deltas))
+        for i, (e, d) in enumerate(zip(bands.energies, bands.deltas))
     ]
     emit(payload, rows, ["index", "E", "re_delta", "im_delta", "inside"], args)
     return 0

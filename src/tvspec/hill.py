@@ -8,8 +8,9 @@ With the state (y, dy/dz) the transfer matrices M1 (period 1) and M2
 entire in E.  On top of the raw integrator this module provides:
 
 * Floquet exponents paired through the eigenvector frame of M1;
-* real-axis stability sets {E : Delta real, |Delta| <= 2} with
-  bisection-refined band edges;
+* real-axis stability sets {E : Delta real, |Delta| <= 2} with band
+  edges bisected all together, one batched determinant-checked trace per
+  step;
 * a two-torus intersection probe (the same potential transported to the
   lattice of -1/tau shares only the spectral-curve branch points);
 * pointwise unitarity tests of the monodromy representation and the
@@ -29,6 +30,7 @@ every stage.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,7 +202,6 @@ class GLEProblem:
     rtol: float
     atol: float
     potentials: dict = field(repr=False)
-    genus_degree: int = 0
 
 
 def make_problem(
@@ -264,39 +265,38 @@ class MonodromyRecord:
     theta: complex   # arccos(delta/2)/pi, principal branch (Re in [0,1])
 
 
-def _record(e, direction, m) -> MonodromyRecord:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    det_error = abs(det - 1.0)
+def _checked_batch(prob: GLEProblem, e_values, direction: str):
+    """Transfer matrices over one loop for a batch of energies (one shared
+    integration), each checked unimodular; returns them with |det M - 1|."""
+    pot = prob.potentials[direction]
+    ms = _transfer_batch(pot, pot.omega, e_values, 1.0, prob.rtol, prob.atol)
+    dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
+    det_errors = np.abs(dets - 1.0)
     # det = 1 is exact; the attainable accuracy degrades with the square of
     # the matrix norm once the flow is hyperbolic (cancellation), so the
     # hard failure threshold is scaled while det_error stays absolute
-    scale = 1.0 + float(np.sum(np.abs(m) ** 2))
-    if det_error > 1e-8 * scale:
-        raise CheckError(f"transfer matrix determinant off by {det_error:.2e}")
-    delta = m[0, 0] + m[1, 1]
-    theta = cmath.acos(delta / 2.0) / cmath.pi
-    return MonodromyRecord(
-        E=complex(e), direction=direction, matrix=m,
-        delta=complex(delta), det_error=float(det_error), theta=theta,
-    )
+    scale = 1.0 + np.sum(np.abs(ms) ** 2, axis=(1, 2))
+    worst = float(np.max(det_errors / scale))
+    if worst > 1e-8:
+        raise CheckError(f"transfer matrix determinant drift {worst:.2e}")
+    return ms, det_errors
 
 
 def monodromy(prob: GLEProblem, e, direction: str = "1") -> MonodromyRecord:
     """Transfer matrix over one loop ("1" or "tau") at energy ``e``."""
-    pot = prob.potentials[direction]
-    m = _transfer_batch(pot, pot.omega, [e], 1.0, prob.rtol, prob.atol)[0]
-    return _record(e, direction, m)
+    ms, det_errors = _checked_batch(prob, [e], direction)
+    m = ms[0]
+    delta = m[0, 0] + m[1, 1]
+    theta = cmath.acos(delta / 2.0) / cmath.pi
+    return MonodromyRecord(
+        E=complex(e), direction=direction, matrix=m,
+        delta=complex(delta), det_error=float(det_errors[0]), theta=theta,
+    )
 
 
 def trace_on_grid(prob: GLEProblem, e_values, direction: str = "1"):
     """Traces Delta(E) over a batch of energies (one shared integration)."""
-    pot = prob.potentials[direction]
-    ms = _transfer_batch(pot, pot.omega, e_values, 1.0, prob.rtol, prob.atol)
-    dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
-    scale = 1.0 + np.sum(np.abs(ms) ** 2, axis=(1, 2))
-    worst = float(np.max(np.abs(dets - 1.0) / scale))
-    if worst > 1e-8:
-        raise CheckError(f"batch determinant drift {worst:.2e}")
+    ms, _ = _checked_batch(prob, e_values, direction)
     return ms[:, 0, 0] + ms[:, 1, 1]
 
 
@@ -369,6 +369,8 @@ class BandStructure:
     bands: tuple
     max_im_delta: float
     edge_tol: float
+    energies: np.ndarray = field(repr=False, compare=False)  # the grid
+    deltas: np.ndarray = field(repr=False, compare=False)    # Delta on it
 
     @property
     def finite_edges(self) -> tuple:
@@ -379,23 +381,6 @@ class BandStructure:
             if not b.open_right:
                 out.append(b.hi)
         return tuple(sorted(out))
-
-
-def _refine_edge(delta_at, e_out, e_in, tol):
-    """Bisect toward the |Re Delta| = 2 crossing bracketed by a point
-    outside the band (e_out) and one inside (e_in).  Orientation comes
-    from the roles, not from re-sampled signs, so an edge that sits on a
-    grid point (trace equal to +-2 within integrator noise) still
-    converges to that point instead of drifting across the cell."""
-    for _ in range(200):
-        if abs(e_in - e_out) <= tol:
-            break
-        mid = 0.5 * (e_out + e_in)
-        if abs(delta_at(mid).real) <= 2.0:
-            e_in = mid
-        else:
-            e_out = mid
-    return 0.5 * (e_out + e_in)
 
 
 def stability_set_1d(
@@ -410,7 +395,17 @@ def stability_set_1d(
     """Real-axis stability set {E : |Re Delta(E)| <= 2} with bisection-
     refined band edges.  Delta is checked to be real (relative im_tol) on
     the whole grid; bands truncated by the grid are flagged open.  Bands
-    narrower than the grid spacing can be missed; choose num accordingly."""
+    narrower than the grid spacing can be missed; choose num accordingly.
+
+    Every grid cell where the stability flag flips brackets one edge by a
+    point outside the band and one inside.  All brackets are halved
+    together, one batched determinant-checked trace per step, until each
+    is within edge_tol (at most 200 halvings).  Orientation comes from the
+    roles, not from re-sampled signs, so an edge that sits on a grid point
+    (trace equal to +-2 within integrator noise) still converges to that
+    point instead of drifting across the cell."""
+    if not (math.isfinite(edge_tol) and edge_tol > 0):
+        raise ValueError(f"edge_tol must be finite and > 0, got {edge_tol!r}")
     grid = np.linspace(float(e_min), float(e_max), int(num))
     deltas = trace_on_grid(prob, grid, direction)
     max_im = float(np.max(np.abs(deltas.imag) / (1.0 + np.abs(deltas))))
@@ -421,40 +416,41 @@ def stability_set_1d(
         )
     inside = np.abs(deltas.real) <= 2.0
 
-    pot = prob.potentials[direction]
+    flips = np.flatnonzero(inside[1:] != inside[:-1])
+    left_in = inside[flips]
+    e_in = np.where(left_in, grid[flips], grid[flips + 1])
+    e_out = np.where(left_in, grid[flips + 1], grid[flips])
+    for _ in range(200):
+        act = np.flatnonzero(np.abs(e_in - e_out) > edge_tol)
+        if act.size == 0:
+            break
+        mid = 0.5 * (e_out[act] + e_in[act])
+        hit = np.abs(trace_on_grid(prob, mid, direction).real) <= 2.0
+        e_in[act[hit]] = mid[hit]
+        e_out[act[~hit]] = mid[~hit]
 
-    def delta_at(e):
-        m = _transfer_batch(pot, pot.omega, [e], 1.0, prob.rtol, prob.atol)[0]
-        return m[0, 0] + m[1, 1]
-
-    bands = []
-    i = 0
-    while i < len(grid):
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(grid) and inside[j + 1]:
-            j += 1
-        open_left = i == 0
-        open_right = j == len(grid) - 1
-        lo = grid[i] if open_left else _refine_edge(
-            delta_at, grid[i - 1], grid[i], edge_tol
-        )
-        hi = grid[j] if open_right else _refine_edge(
-            delta_at, grid[j + 1], grid[j], edge_tol
-        )
-        if hi < lo:
-            lo, hi = hi, lo
-        bands.append(Band(float(lo), float(hi), open_left, open_right))
-        i = j + 1
+    # edges alternate band entry / band exit in grid order; the grid ends
+    # close the bands that run past them
+    bounds = list(0.5 * (e_out + e_in))
+    if inside[0]:
+        bounds.insert(0, grid[0])
+    if inside[-1]:
+        bounds.append(grid[-1])
+    last = len(bounds) // 2 - 1
+    bands = tuple(
+        Band(float(lo), float(hi), k == 0 and bool(inside[0]),
+             k == last and bool(inside[-1]))
+        for k, (lo, hi) in enumerate(zip(bounds[0::2], bounds[1::2]))
+    )
     return BandStructure(
         direction=direction,
         e_min=float(e_min),
         e_max=float(e_max),
-        bands=tuple(bands),
+        bands=bands,
         max_im_delta=max_im,
         edge_tol=edge_tol,
+        energies=grid,
+        deltas=deltas,
     )
 
 

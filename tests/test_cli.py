@@ -3,9 +3,10 @@ import json
 import pytest
 
 from tvspec.cli import fmt_complex, main, parse_complex, parse_grid
+from tvspec.hill import trace_on_grid
 from tvspec.premodular import z_n
 
-from conftest import lattice
+from conftest import lattice, problem
 
 
 def run(capsys, *argv):
@@ -142,6 +143,26 @@ def test_bands_payload(capsys):
     assert abs(second["lo"] - L.e3.real) < 1e-5
     assert abs(second["hi"] - L.e1.real) < 1e-5
     assert len(doc["rows"]) == 161
+
+
+def test_bands_rows_are_the_grid_traces(capsys):
+    code, out, _ = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",
+                       "--E", "-8:8:161")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    grid = parse_grid("-8:8:161")
+    deltas = trace_on_grid(problem(1j, (1, 0, 0, 0)), grid)
+    assert [r["E"] for r in rows] == grid.tolist()
+    assert [r["re_delta"] for r in rows] == deltas.real.tolist()
+    assert [r["im_delta"] for r in rows] == deltas.imag.tolist()
+
+
+def test_bands_rejects_zero_edge_tol(capsys):
+    code, out, err = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",
+                         "--E", "-8:8:5", "--edge-tol", "0")
+    assert code == 1
+    assert out == ""
+    assert "edge_tol" in err
 
 
 def test_unitary_grid_negative(capsys):

@@ -1,8 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
+from tvspec import hill
 from tvspec.errors import CheckError, PoleError
 from tvspec.hill import (
     PathPotential,
@@ -96,6 +98,72 @@ def test_band_structure_of_the_classical_potential():
     assert abs(first.hi - L.e2.real) < 1e-6
     assert abs(second.lo - L.e3.real) < 1e-6
     assert abs(second.hi - L.e1.real) < 1e-6
+
+
+def test_edges_are_bisected_together(monkeypatch):
+    # one grid pass plus one batched trace per halving, however many edges
+    calls = []
+    real = hill.trace_on_grid
+
+    def counting(prob, e_values, direction="1"):
+        calls.append(len(np.atleast_1d(e_values)))
+        return real(prob, e_values, direction)
+
+    monkeypatch.setattr(hill, "trace_on_grid", counting)
+    h, tol = 60.0 / 1200, 1e-8
+    halvings = math.ceil(math.log2(h / tol))
+    for n, edges in (((1, 0, 0, 0), 3), ((2, 0, 0, 0), 5)):
+        calls.clear()
+        bs = stability_set_1d(problem(1j, n), -30.0, 30.0, num=1201,
+                              edge_tol=tol)
+        assert len(bs.finite_edges) == edges
+        assert calls == [1201] + [edges] * halvings
+
+
+def test_bisection_steps_are_determinant_checked(monkeypatch):
+    # an off-grid energy with a non-unimodular transfer matrix must not
+    # slip through the edge refinement
+    grid = np.linspace(-12.0, 10.0, 221)
+    real = hill._transfer_batch
+
+    def broken(vfun, omega, e_values, t_end, rtol, atol):
+        ms = real(vfun, omega, e_values, t_end, rtol, atol)
+        e = np.atleast_1d(np.asarray(e_values)).real
+        ms[~np.isin(e, grid)] *= 2.0
+        return ms
+
+    monkeypatch.setattr(hill, "_transfer_batch", broken)
+    prob = problem(1j, (1, 0, 0, 0))
+    with pytest.raises(CheckError, match="determinant"):
+        stability_set_1d(prob, grid[0], grid[-1], num=len(grid))
+
+
+@pytest.mark.parametrize("root", ["e3", "e1"])
+def test_edge_on_a_grid_point(root):
+    # a trace of +-2 within integrator noise at a grid point must not push
+    # the edge across the cell
+    L = lattice(1j)
+    e = getattr(L, root).real
+    h, k, tol = 0.02, 300, 1e-8
+    e_min = e - k * h
+    bs = stability_set_1d(problem(1j, (1, 0, 0, 0)), e_min, e_min + 600 * h,
+                          num=601, edge_tol=tol)
+    assert abs(bs.energies[k] - e) < 1e-12
+    assert min(abs(x - e) for x in bs.finite_edges) <= tol
+
+
+def test_band_structure_keeps_the_grid_traces():
+    prob = problem(1j, (1, 0, 0, 0))
+    bs = stability_set_1d(prob, -8.0, 8.0, num=161)
+    assert np.array_equal(bs.energies, np.linspace(-8.0, 8.0, 161))
+    assert np.array_equal(bs.deltas, trace_on_grid(prob, bs.energies))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_stability_rejects_bad_edge_tol(tol):
+    with pytest.raises(ValueError, match="edge_tol"):
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), -4.0, 4.0, num=21,
+                         edge_tol=tol)
 
 
 def test_stability_rejects_nonreal_trace():

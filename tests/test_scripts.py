@@ -20,6 +20,8 @@ def load(name):
      "Z^(1): 16 (r, s) samples x 6 boundary tau = 96 evaluations"),
     ("qpoly_tau_scan", ["1", "0", "0", "1", "--b", "0.8:1.2:3"],
      "tuple (1, 0, 0, 1): genus 1, condition class C2"),
+    ("band_diagram", ["1", "0", "0", "0", "--tau", "1i", "--num", "201"],
+     "tuple (1, 0, 0, 0), tau = 1j: genus 1, roots classified real_distinct"),
 ])
 def test_script_runs(capsys, name, argv, first):
     assert load(name).main(argv) == 0
