@@ -18,13 +18,16 @@ entire in E.  On top of the raw integrator this module provides:
 * a circle-mean check that Delta satisfies the analytic mean value
   property in E.
 
-Integration is a hand-rolled Dormand-Prince 5(4) pair with an embedded
-error estimate, vectorized over a batch of energies that share step
-control (batch results agree with one-at-a-time integration within the
-local tolerances; all quantities compared against them carry much looser
-thresholds).  The potential along each loop is compressed adaptively into
-a Chebyshev interpolant so the theta-series kernel is not re-evaluated at
-every stage.
+Integration is a fixed-node 4th-order Magnus method: V is sampled once
+per loop at the two Gauss nodes of every step, straight from the theta
+kernel, each step is the closed-form exponential of a traceless 2x2
+matrix, and the ordered product is reduced pairwise in blocks, for a
+batch of energies at once.  The step count starts at 2048 and doubles
+until the step-doubling estimate max |M_N - M_(N/2)| / 15 meets
+atol + rtol max |M_N| at every energy of the batch, so the energies of a
+batch share one step count (batch results agree with one-at-a-time
+integration within the tolerances; all quantities compared against them
+carry much looser thresholds).
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
 
-from .elliptic import LatticeData, _nearest_lattice_distance, make_lattice, wp
+from .elliptic import LatticeData, _nearest_lattice_distance, make_lattice
 from .errors import CheckError, NonConvergenceError, PoleError
 from .poly import ComplexPoly
-from .spectral import q_via_phi_ansatz, roots_and_classify
+from .spectral import _potential, q_via_phi_ansatz, roots_and_classify
 
 __all__ = [
     "GLEProblem",
@@ -61,74 +63,13 @@ __all__ = [
     "at_root",
 ]
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-
-
-def _dopri_integrate(rhs, y0, t0, t1, rtol, atol, max_steps=200_000):
-    """Adaptive 5(4) embedded pair; shared step control over the whole
-    (arbitrarily shaped) complex state array."""
-    t = float(t0)
-    span = float(t1) - t
-    y = np.array(y0, dtype=complex)
-    h = 0.01 * span
-    k = [None] * 7
-    k[0] = rhs(t, y)
-    for _ in range(max_steps):
-        if t >= t1:
-            return y
-        h = min(h, t1 - t)
-        if h < 1e-12 * span:
-            raise NonConvergenceError(f"step size underflow at t={t:.6g}")
-        for i in range(1, 7):
-            yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
-            k[i] = rhs(t + _C[i] * h, yi)
-        ynew = y + h * sum(_B5[j] * k[j] for j in range(7))
-        err_vec = h * sum(_ERR[j] * k[j] for j in range(7))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-        err = float(np.max(np.abs(err_vec) / scale))
-        if err <= 1.0:
-            t += h
-            y = ynew
-            k[0] = k[6]  # FSAL
-        else:
-            k0 = k[0]
-            k = [None] * 7
-            k[0] = k0
-        fac = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, fac))
-    raise NonConvergenceError(f"integration exceeded {max_steps} steps")
-
-
 # ── potential along a loop ────────────────────────────────────────────────
 
-def _potential_direct(L: LatticeData, n):
-    hp = L.half_periods
-    active = [(k, n[k] * (n[k] + 1)) for k in range(4) if n[k] >= 1]
-
-    def v(z):
-        total = 0.0 + 0.0j
-        for k, c in active:
-            total = total + c * wp(np.asarray(z) + hp[k], L)
-        return total
-
-    return v
+# smallest distance between a loop and a pole of V that make_problem accepts
+_MIN_CLEARANCE = 0.03
 
 
-def _check_clearance(L: LatticeData, n, z0, omega, min_clearance):
+def _check_clearance(L: LatticeData, n, z0, omega):
     ts = np.linspace(0.0, 1.0, 201)
     zs = z0 + ts * omega
     worst = np.inf
@@ -137,58 +78,29 @@ def _check_clearance(L: LatticeData, n, z0, omega, min_clearance):
             continue
         d = _nearest_lattice_distance(zs - L.half_periods[k], L.tau)
         worst = min(worst, float(np.min(d)))
-    if worst < min_clearance:
+    if worst < _MIN_CLEARANCE:
         raise PoleError(
             f"integration path approaches a potential pole "
-            f"(clearance {worst:.3g} < {min_clearance:g})"
+            f"(clearance {worst:.3g} < {_MIN_CLEARANCE:g})"
         )
     return worst
 
 
 class PathPotential:
-    """V along z0 + t*omega for t in [0, 1], optionally compressed into an
-    adaptive Chebyshev interpolant (degree doubled until an off-node check
-    passes at compress_tol relative to the potential scale)."""
+    """V along z0 + t*omega, evaluated straight from the theta kernel for
+    an array of t.  The loop t in [0, 1] must stay _MIN_CLEARANCE away
+    from every pole."""
 
-    def __init__(
-        self,
-        L: LatticeData,
-        n,
-        z0: complex,
-        omega: complex,
-        compress: bool = True,
-        compress_tol: float = 1e-13,
-        min_clearance: float = 0.03,
-    ):
+    def __init__(self, L: LatticeData, n, z0: complex, omega: complex):
+        self.L = L
+        self.n = tuple(n)
         self.z0 = complex(z0)
         self.omega = complex(omega)
-        self.clearance = _check_clearance(L, n, self.z0, self.omega, min_clearance)
-        direct = _potential_direct(L, n)
-        self._direct = lambda t: direct(self.z0 + np.asarray(t) * self.omega)
-        self.cheb = None
-        self.compress_error = None
-        if compress:
-            ts = (np.arange(401) + 0.5) / 401
-            ref = self._direct(ts)
-            floor = compress_tol * (1.0 + float(np.max(np.abs(ref))))
-            deg = 64
-            while deg <= 2048:
-                cand = ncheb.Chebyshev.interpolate(self._direct, deg, domain=[0.0, 1.0])
-                err = float(np.max(np.abs(cand(ts) - ref)))
-                if err <= floor:
-                    self.cheb = cand
-                    self.compress_error = err
-                    break
-                deg *= 2
+        self.clearance = _check_clearance(L, self.n, self.z0, self.omega)
 
     def __call__(self, t):
-        # omega is always a lattice period, so folding t mod 1 is exact
-        # and keeps the interpolant inside its domain
-        t = np.asarray(t, dtype=float)
-        t = t - np.floor(t)
-        if self.cheb is not None:
-            return self.cheb(t)
-        return self._direct(t)
+        z = self.z0 + np.asarray(t, dtype=float) * self.omega
+        return _potential(self.L, self.n, z)
 
 
 @dataclass
@@ -210,9 +122,6 @@ def make_problem(
     z_base: complex | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    compress: bool = True,
-    compress_tol: float = 1e-13,
-    min_clearance: float = 0.03,
 ) -> GLEProblem:
     """Prepare loop potentials (with pole-clearance checks) for the tuple
     ``n`` on lattice ``L``.  The default base point 1/4 + tau/4 sits midway
@@ -221,14 +130,8 @@ def make_problem(
     if z_base is None:
         z_base = 0.25 + 0.25 * L.tau
     pots = {
-        "1": PathPotential(
-            L, n, z_base, 1.0, compress=compress,
-            compress_tol=compress_tol, min_clearance=min_clearance,
-        ),
-        "tau": PathPotential(
-            L, n, z_base, L.tau, compress=compress,
-            compress_tol=compress_tol, min_clearance=min_clearance,
-        ),
+        "1": PathPotential(L, n, z_base, 1.0),
+        "tau": PathPotential(L, n, z_base, L.tau),
     }
     return GLEProblem(
         L=L, n=n, z_base=complex(z_base), rtol=rtol, atol=atol, potentials=pots
@@ -236,21 +139,106 @@ def make_problem(
 
 
 # ── transfer matrices ─────────────────────────────────────────────────────
+#
+# Along z = z0 + t*omega the state Y = (y, dy/dz) obeys Y' = A(t) Y with
+# A = [[0, omega], [omega (V + E), 0]].  A Magnus step of size h samples A
+# at the Gauss nodes t_j -+ (sqrt(3)/6) h of its interval:
+#     Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1]
+#           = [[c, h omega], [h omega (Vbar + E), -c]],
+# Vbar = (V1 + V2)/2, c = (sqrt(3)/12) (h omega)^2 (V1 - V2); the commutator
+# term does not depend on E.  Omega is traceless, so Omega^2 = mu^2 I with
+# mu^2 = c^2 + (h omega)^2 (Vbar + E), and exp(Omega) = C(mu^2) I +
+# S(mu^2) Omega, where C and S are the even series of cosh(mu) and
+# sinh(mu)/mu.  The step is 4th order (Iserles & Norsett 1999;
+# Blanes, Casas, Oteo & Ros 2009).
+
+_GAUSS = math.sqrt(3.0) / 6.0
+_STEPS_START = 2048      # first step count tried (a power of two)
+_STEPS_MAX = 2 ** 16     # step doubling gives up past this count
+_BLOCK = 4096            # (energy x step) pairs per block of step matrices
+_TERMS = 6
+_COSH = tuple(1.0 / math.factorial(2 * k) for k in range(_TERMS))
+_SINH = tuple(1.0 / math.factorial(2 * k + 1) for k in range(_TERMS))
+# below this |mu^2| the first omitted term, |mu^2|^_TERMS / (2 _TERMS)!,
+# is under 2^-54 while C and S stay near 1: the series are exact to rounding
+_MU2_MAX = (math.factorial(2 * _TERMS) * 2.0 ** -54) ** (1.0 / _TERMS)
+
+
+def _series(x, coeffs):
+    """sum_k coeffs[k] x^k by Horner's rule."""
+    out = coeffs[-1]
+    for a in coeffs[-2::-1]:
+        out = out * x + a
+    return out
+
+
+def _mul(p, q):
+    """2x2 product p @ q, each matrix given by its entries (00, 01, 10, 11)."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _magnus_product(vfun, omega, e, t_end, steps):
+    """Ordered product of ``steps`` equal Magnus steps over [0, t_end] for
+    each energy of the 1-d array ``e``, shape (len(e), 2, 2); None when
+    some |mu^2| exceeds _MU2_MAX."""
+    h = t_end / steps
+    mid = (np.arange(steps) + 0.5) * h
+    v1 = vfun(mid - _GAUSS * h)   # one call per node set
+    v2 = vfun(mid + _GAUSS * h)
+    hw = h * omega
+    c = (math.sqrt(3.0) / 12.0) * hw * hw * (v1 - v2)
+    c2 = c * c
+    hwv = hw * (0.5 * (v1 + v2))
+    hwe = hw * e
+    mu2_bound = np.max(np.abs(c2 + hw * hwv)) + abs(hw) * np.max(np.abs(hwe))
+    if not mu2_bound <= _MU2_MAX:
+        return None
+
+    out = np.empty((len(e), 2, 2), dtype=complex)
+    for lo in range(0, len(e), _BLOCK):
+        q_e = hwe[lo:lo + _BLOCK, None]
+        # a power of two, so the pairwise reduction halves evenly
+        width = min(steps, 1 << ((_BLOCK // len(q_e)).bit_length() - 1))
+        prod = (1.0, 0.0, 0.0, 1.0)
+        for s in range(0, steps, width):
+            blk = slice(s, s + width)
+            q = hwv[blk] + q_e            # h omega (Vbar + E)
+            x = c2[blk] + hw * q          # mu^2
+            cc = _series(x, _COSH)
+            ss = _series(x, _SINH)
+            sc = ss * c[blk]
+            m = (cc + sc, ss * hw, ss * q, cc - sc)
+            while m[0].shape[1] > 1:      # later steps multiply from the left
+                m = _mul([a[:, 1::2] for a in m], [a[:, 0::2] for a in m])
+            prod = _mul(m, prod)
+        for i, entry in enumerate(prod):
+            out[lo:lo + len(q_e), i // 2, i % 2] = entry[:, 0]
+    return out
+
 
 def _transfer_batch(vfun, omega, e_values, t_end, rtol, atol):
     """Fundamental matrices Y(t_end) with Y(0)=I for a batch of energies;
-    state rows are (y, dy/dz)."""
+    state rows are (y, dy/dz).  The step count N doubles from
+    _STEPS_START until every energy has
+    max_ij |M_N - M_(N/2)| / 15 <= atol + rtol max_ij |M_N|."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
-    y0 = np.broadcast_to(np.eye(2, dtype=complex), (len(e), 2, 2)).copy()
-
-    def rhs(t, y):
-        v = vfun(t)
-        out = np.empty_like(y)
-        out[:, 0, :] = omega * y[:, 1, :]
-        out[:, 1, :] = (omega * (v + e))[:, None] * y[:, 0, :]
-        return out
-
-    return _dopri_integrate(rhs, y0, 0.0, t_end, rtol, atol)
+    steps = _STEPS_START
+    coarse = _magnus_product(vfun, omega, e, t_end, steps // 2)
+    while steps <= _STEPS_MAX:
+        fine = _magnus_product(vfun, omega, e, t_end, steps)
+        if coarse is not None and fine is not None:
+            est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 15.0
+            scale = np.max(np.abs(fine), axis=(1, 2))
+            if np.all(est <= atol + rtol * scale):
+                return fine
+        coarse = fine
+        steps *= 2
+    raise NonConvergenceError(
+        f"transfer matrices missed rtol={rtol:g}, atol={atol:g} "
+        f"at {_STEPS_MAX} Magnus steps"
+    )
 
 
 @dataclass(frozen=True)
@@ -268,8 +256,11 @@ class MonodromyRecord:
 def _checked_batch(prob: GLEProblem, e_values, direction: str):
     """Transfer matrices over one loop for a batch of energies (one shared
     integration), each checked unimodular; returns them with |det M - 1|."""
+    e = np.atleast_1d(np.asarray(e_values, dtype=complex))
+    if not np.all(np.isfinite(e)):
+        raise ValueError("energies must be finite")
     pot = prob.potentials[direction]
-    ms = _transfer_batch(pot, pot.omega, e_values, 1.0, prob.rtol, prob.atol)
+    ms = _transfer_batch(pot, pot.omega, e, 1.0, prob.rtol, prob.atol)
     dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
     det_errors = np.abs(dets - 1.0)
     # det = 1 is exact; the attainable accuracy degrades with the square of
@@ -277,7 +268,7 @@ def _checked_batch(prob: GLEProblem, e_values, direction: str):
     # hard failure threshold is scaled while det_error stays absolute
     scale = 1.0 + np.sum(np.abs(ms) ** 2, axis=(1, 2))
     worst = float(np.max(det_errors / scale))
-    if worst > 1e-8:
+    if not worst <= 1e-8:  # a NaN fails too
         raise CheckError(f"transfer matrix determinant drift {worst:.2e}")
     return ms, det_errors
 
@@ -406,6 +397,10 @@ def stability_set_1d(
     point instead of drifting across the cell."""
     if not (math.isfinite(edge_tol) and edge_tol > 0):
         raise ValueError(f"edge_tol must be finite and > 0, got {edge_tol!r}")
+    if not (math.isfinite(e_min) and math.isfinite(e_max) and e_min < e_max):
+        raise ValueError(
+            f"energy window needs finite e_min < e_max, got {e_min!r}, {e_max!r}"
+        )
     grid = np.linspace(float(e_min), float(e_max), int(num))
     deltas = trace_on_grid(prob, grid, direction)
     max_im = float(np.max(np.abs(deltas.imag) / (1.0 + np.abs(deltas))))
@@ -651,7 +646,7 @@ def developing_map_periodicity(
     for s in samples:
         y_s = _transfer_batch(pot1, 1.0, ee, s, rt, at)[0]
         y_s1 = _transfer_batch(pot1, 1.0, ee, 1.0 + s, rt, at)[0]
-        bent = PathPotential(L, n, z_b + s, L.tau, compress=False)
+        bent = PathPotential(L, n, z_b + s, L.tau)
         t_s = _transfer_batch(bent, L.tau, ee, 1.0, rt, at)[0]
 
         u = y_s @ v          # columns: Floquet states at z_b + s

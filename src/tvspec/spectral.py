@@ -44,10 +44,9 @@ from .elliptic import (
     LatticeData,
     make_lattice,
     wp,
-    wp_prime,
-    wp_second,
     wp_series_half,
     wp_series_origin,
+    zeta_wp_wp_prime,
 )
 from .errors import CheckError, NotConstructibleError, TvspecError
 from .heun import TildeAlpha, p_polynomial
@@ -269,6 +268,16 @@ def _pencil(L: LatticeData, n):
     return np.array(rows0, dtype=complex), np.array(rows1, dtype=complex)
 
 
+def _potential(L: LatticeData, n, z):
+    """V(z) = sum_k n_k(n_k+1) wp(z + w_k/2), summed in index order, for a
+    scalar or an array z."""
+    return sum(
+        n[k] * (n[k] + 1) * wp(z + L.half_periods[k], L)
+        for k in range(4)
+        if n[k] >= 1
+    )
+
+
 def _basis_values(L: LatticeData, n, z: complex):
     """Values and first two z-derivatives of each ansatz basis function."""
     vals, d1, d2 = [1.0 + 0j], [0.0 + 0j], [0.0 + 0j]
@@ -276,8 +285,8 @@ def _basis_values(L: LatticeData, n, z: complex):
     for k in range(4):
         if n[k] == 0:
             continue
-        zz = z + hp[k]
-        p, pp, ps = wp(zz, L), wp_prime(zz, L), wp_second(zz, L)
+        _, p, pp = zeta_wp_wp_prime(z + hp[k], L)
+        ps = 6.0 * p * p - L.g2 / 2.0
         for j in range(n[k]):
             w = n[k] - j
             vals.append(p ** w)
@@ -300,12 +309,7 @@ def _assemble_q_at(L: LatticeData, n, vhat: np.ndarray, s: float, z: complex):
     phi = vhat @ vals        # ascending polynomials in Ehat = E/s
     phi1 = vhat @ d1
     phi2 = vhat @ d2
-    i0 = sum(
-        n[k] * (n[k] + 1) * wp(z + L.half_periods[k], L)
-        for k in range(4)
-        if n[k] >= 1
-    )
-    p_i = np.array([i0, s], dtype=complex)
+    p_i = np.array([_potential(L, n, z), s], dtype=complex)
     qhat = npp.polyadd(
         npp.polymul(p_i, npp.polymul(phi, phi)),
         npp.polysub(npp.polymul(phi1, phi1) / 4.0, npp.polymul(phi, phi2) / 2.0),
@@ -419,14 +423,7 @@ def q_via_phi_ansatz(
     e_star = s * ehat_star
     vals, d1, d2 = _basis_values(L, n, z0)
     w = np.array([ehat_star ** d for d in range(g + 1)]) @ vhat
-    i_star = (
-        sum(
-            n[k] * (n[k] + 1) * wp(z0 + L.half_periods[k], L)
-            for k in range(4)
-            if n[k] >= 1
-        )
-        + e_star
-    )
+    i_star = _potential(L, n, z0) + e_star
     phi_v, phi_d1, phi_d2 = w @ vals, w @ d1, w @ d2
     q_direct = (i_star * phi_v ** 2 + phi_d1 ** 2 / 4.0 - phi_v * phi_d2 / 2.0)
     q_direct *= s ** (2.0 * g)

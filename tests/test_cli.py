@@ -165,6 +165,15 @@ def test_bands_rejects_zero_edge_tol(capsys):
     assert "edge_tol" in err
 
 
+@pytest.mark.parametrize("grid", ["10:-10:201", "1:1:5"])
+def test_bands_rejects_empty_or_reversed_window(capsys, grid):
+    code, out, err = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",
+                         "--E", grid)
+    assert code == 1
+    assert out == ""
+    assert "e_min < e_max" in err
+
+
 def test_unitary_grid_negative(capsys):
     code, out, _ = run(capsys, "unitary", "--n", "2,0,0,0", "--tau", "0+1i",
                        "--re", "-6:6:5", "--im", "-2:2:3")

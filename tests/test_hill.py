@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tvspec import hill
+from tvspec.elliptic import wp
 from tvspec.errors import CheckError, PoleError
 from tvspec.hill import (
     PathPotential,
@@ -251,12 +252,82 @@ def test_problem_construction_guards():
     assert set(prob.potentials) == {"1", "tau"}
 
 
-def test_compressed_potential_matches_direct():
+def test_path_potential_is_the_direct_wp_sum():
     L = lattice(1j)
-    prob = problem(1j, (2, 1, 1, 0))
-    pot = prob.potentials["1"]
-    direct = PathPotential(L, (2, 1, 1, 0), prob.z_base, 1.0, compress=False)
-    ts = np.linspace(0.013, 0.987, 41)
-    a = pot(ts)
-    b = direct(ts)
-    assert np.max(np.abs(a - b)) < 1e-9 * (1.0 + np.max(np.abs(b)))
+    n = (2, 1, 1, 0)
+    pot = problem(1j, n).potentials["1"]
+    ts = np.linspace(0.0, 1.9, 77)  # past 1: loops are extended by s
+    z = pot.z0 + ts * pot.omega
+    direct = 0
+    for k in range(4):
+        if n[k]:
+            direct = direct + n[k] * (n[k] + 1) * wp(z + L.half_periods[k], L)
+    assert np.array_equal(pot(ts), direct)
+
+
+def _trace(ms):
+    return ms[:, 0, 0] + ms[:, 1, 1]
+
+
+ENERGIES = np.array([-8.0, -1.0, 2.5, 7.0 + 2.0j])
+
+
+def test_magnus_step_is_fourth_order():
+    pot = problem(1j, (2, 0, 0, 0)).potentials["1"]
+    ref = _trace(_transfer_batch(pot, 1.0, ENERGIES, 1.0, 1e-13, 1e-15))
+    err = [np.abs(_trace(hill._magnus_product(pot, 1.0, ENERGIES, 1.0, n))
+                  - ref) for n in (64, 128)]
+    assert np.all((12.0 <= err[0] / err[1]) & (err[0] / err[1] <= 20.0))
+
+
+@pytest.mark.parametrize("tau, n, d", [(1j, (2, 0, 0, 0), "1"),
+                                       (1.15j, (1, 1, 1, 1), "tau")])
+def test_step_doubling_estimate_bounds_the_error(tau, n, d):
+    # M_(N/2) - M_N is 15 times the error of M_N to leading order
+    pot = problem(tau, n).potentials[d]
+    ref = _transfer_batch(pot, pot.omega, ENERGIES, 1.0, 1e-13, 1e-15)
+    fine = hill._magnus_product(pot, pot.omega, ENERGIES, 1.0, 2048)
+    coarse = hill._magnus_product(pot, pot.omega, ENERGIES, 1.0, 1024)
+    est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 15.0
+    err = np.max(np.abs(fine - ref), axis=(1, 2))
+    assert np.all(err <= 2.0 * est)
+    assert np.all(est <= 2.0 * err)
+
+
+def test_rtol_controls_the_error():
+    pot = problem(1.15j, (1, 1, 1, 1)).potentials["tau"]
+    ref = _transfer_batch(pot, pot.omega, ENERGIES, 1.0, 1e-13, 1e-15)
+    err = [np.max(np.abs(_transfer_batch(pot, pot.omega, ENERGIES, 1.0, rtol,
+                                         1e-15) - ref))
+           for rtol in (1e-10, 1e-11)]
+    assert err[1] < err[0] / 4.0
+
+
+def test_large_energies_refine_the_steps():
+    # |mu^2| beyond the series bound at 1024 steps: the count doubles
+    # instead of truncating the exponential
+    pot = problem(1j, (1, 0, 0, 0)).potentials["1"]
+    assert hill._magnus_product(pot, 1.0, np.array([-1e5]), 1.0, 1024) is None
+    m = _transfer_batch(pot, 1.0, [-1e5], 1.0, 1e-10, 1e-12)[0]
+    assert abs(np.linalg.det(m) - 1.0) < 1e-9
+    assert abs(m[0, 0] + m[1, 1]) <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_nonfinite_energies_are_refused(e):
+    with pytest.raises(ValueError, match="finite"):
+        trace_on_grid(problem(1j, (1, 0, 0, 0)), [0.5, e])
+
+
+def test_nan_transfer_matrix_fails_the_determinant_check(monkeypatch):
+    monkeypatch.setattr(hill, "_transfer_batch",
+                        lambda *a: np.full((1, 2, 2), np.nan + 0j))
+    with pytest.raises(CheckError, match="determinant"):
+        monodromy(problem(1j, (1, 0, 0, 0)), 0.5)
+
+
+@pytest.mark.parametrize("e_min, e_max", [(10.0, -10.0), (1.0, 1.0),
+                                          (math.nan, 1.0), (-1.0, math.inf)])
+def test_stability_rejects_empty_or_reversed_window(e_min, e_max):
+    with pytest.raises(ValueError, match="e_min < e_max"):
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), e_min, e_max, num=21)
