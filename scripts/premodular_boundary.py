@@ -30,14 +30,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rs = rs_grid_default(args.rs[0], args.rs[1])
-    taus = boundary_tau_samples(args.tau_count)
-    print(f"Z^({args.n}): {len(rs)} (r, s) samples x {len(taus)} boundary tau "
-          f"= {len(rs) * len(taus)} evaluations")
-
-    t0 = time.perf_counter()
-    out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus,
-                                     floor=args.floor)
-    dt = time.perf_counter() - t0
+    try:
+        taus = boundary_tau_samples(args.tau_count)
+        print(f"Z^({args.n}): {len(rs)} (r, s) samples x {len(taus)} "
+              f"boundary tau = {len(rs) * len(taus)} evaluations")
+        t0 = time.perf_counter()
+        out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus,
+                                         floor=args.floor)
+        dt = time.perf_counter() - t0
+    except ValueError as exc:  # --tau-count below 3 or --floor not > 0
+        ap.error(str(exc))
 
     r, s, tau = out["argmin"]
     print(f"min |Z^({args.n})| = {out['min_abs']:.6e}")

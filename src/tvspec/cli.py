@@ -15,6 +15,9 @@ Conventions
       comment lines: a timestamp header and the resolved tolerance set
     - JSON output holds the timestamp in a "generated" field on its own
       line; everything below it is deterministic for a fixed invocation
+    - elliptic functions come from theta series truncated at a fixed
+      relative tolerance of 1e-14 (reported as "truncation_tol" in every
+      tolerance set); a point within 1e-6 of a pole is a PoleError
     - exit codes: 0 success, 1 usage error, 2 assertion failure,
       3 numerical non-convergence
 """
@@ -32,7 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .elliptic import make_lattice
+from .elliptic import TRUNCATION_TOL, make_lattice
 from .errors import (
     CheckError,
     NonConvergenceError,
@@ -199,7 +202,7 @@ def emit(payload: dict, rows, fieldnames, args) -> None:
 def cmd_qpoly(args) -> int:
     n = parse_n_tuple(args.n)
     tau = parse_complex(args.tau)
-    L = make_lattice(tau, truncation_tol=args.truncation_tol)
+    L = make_lattice(tau)
     rep = spectral_report(
         L, n, route=args.route,
         tol_im=args.tol_im, tol_gap=args.tol_gap, route_tol=args.route_tol,
@@ -240,17 +243,14 @@ def cmd_scan(args) -> int:
     bs = parse_grid(args.b)
     if np.any(bs <= 0):
         raise UsageError("--b values must be positive (tau = i*b)")
-    res = tau_scan(
-        n, bs, tol_im=args.tol_im, tol_gap=args.tol_gap,
-        truncation_tol=args.truncation_tol,
-    )
+    res = tau_scan(n, bs, tol_im=args.tol_im, tol_gap=args.tol_gap)
     payload = {
         "version": __version__,
         "command": "scan",
         "config": {"n": list(n), "b": args.b},
         "tolerances": {
             "tol_im": args.tol_im, "tol_gap": args.tol_gap,
-            "truncation_tol": args.truncation_tol,
+            "truncation_tol": TRUNCATION_TOL,
         },
         "expected": res.expected,
         "points": len(res.points),
@@ -281,7 +281,7 @@ def cmd_bands(args) -> int:
     grid = parse_grid(args.E)
     if len(grid) < 2:
         raise UsageError("--E grid needs at least 2 points")
-    L = make_lattice(tau, truncation_tol=args.truncation_tol)
+    L = make_lattice(tau)
     prob = make_problem(L, n, rtol=args.rtol, atol=args.atol)
     bands = stability_set_1d(
         prob, grid[0], grid[-1], num=len(grid), direction=args.direction,
@@ -297,7 +297,7 @@ def cmd_bands(args) -> int:
         "tolerances": {
             "rtol": args.rtol, "atol": args.atol,
             "edge_tol": args.edge_tol, "im_tol": args.im_tol,
-            "truncation_tol": args.truncation_tol,
+            "truncation_tol": TRUNCATION_TOL,
         },
         "bands": [
             {"lo": b.lo, "hi": b.hi, "open_left": b.open_left,
@@ -323,7 +323,7 @@ def cmd_unitary(args) -> int:
     tau = parse_complex(args.tau)
     re_vals = parse_grid(getattr(args, "re"))
     im_vals = parse_grid(args.im)
-    L = make_lattice(tau, truncation_tol=args.truncation_tol)
+    L = make_lattice(tau)
     q = q_via_phi_ansatz(L, n)
     prob = make_problem(L, n, rtol=args.rtol, atol=args.atol)
     res = unitarity_grid(prob, q, re_vals, im_vals, tol_im=args.tol_im)
@@ -336,7 +336,7 @@ def cmd_unitary(args) -> int:
         },
         "tolerances": {
             "rtol": args.rtol, "atol": args.atol, "tol_im": args.tol_im,
-            "root_factor": 1e-4, "truncation_tol": args.truncation_tol,
+            "root_factor": 1e-4, "truncation_tol": TRUNCATION_TOL,
         },
         "points": int(total),
         "unitary_count": int(np.sum(res["unitary"])),
@@ -382,7 +382,7 @@ def cmd_premodular(args) -> int:
         "config": {"op": args.op, "n": n},
         "tolerances": {
             "floor": args.floor, "newton_tol": args.newton_tol,
-            "truncation_tol": args.truncation_tol,
+            "truncation_tol": TRUNCATION_TOL,
         },
     }
 
@@ -391,7 +391,7 @@ def cmd_premodular(args) -> int:
             raise UsageError("eval needs --rs and --tau")
         r, s = parse_rs(args.rs)
         tau = parse_complex(args.tau)
-        L = make_lattice(tau, truncation_tol=args.truncation_tol)
+        L = make_lattice(tau)
         val = z_n(L, r, s, n)
         base["config"].update({"rs": args.rs, "tau": args.tau})
         payload = {
@@ -408,10 +408,7 @@ def cmd_premodular(args) -> int:
 
     if args.op == "boundary-scan":
         collect = args.format == "csv"
-        res = boundary_nonvanishing_scan(
-            n, floor=args.floor, truncation_tol=args.truncation_tol,
-            collect=collect,
-        )
+        res = boundary_nonvanishing_scan(n, floor=args.floor, collect=collect)
         argmin = res["argmin"]
         payload = {
             **base,
@@ -435,10 +432,7 @@ def cmd_premodular(args) -> int:
             raise UsageError("zero-find needs --rs and --tau (the seed)")
         r, s = parse_rs(args.rs)
         seed = parse_complex(args.tau)
-        res = zero_find(
-            n, r, s, seed, tol=args.newton_tol,
-            truncation_tol=args.truncation_tol,
-        )
+        res = zero_find(n, r, s, seed, tol=args.newton_tol)
         base["config"].update({"rs": args.rs, "tau": args.tau})
         payload = {**base, "r": r, "s": s, **res}
         rows = [
@@ -468,10 +462,7 @@ def cmd_premodular(args) -> int:
                                 y + rng.uniform(-0.05, 0.05))
                     if classify_f0(t).inside:
                         seeds.append(t)
-        res = zero_find_multi(
-            n, r, s, seeds=seeds, tol=args.newton_tol,
-            truncation_tol=args.truncation_tol,
-        )
+        res = zero_find_multi(n, r, s, seeds=seeds, tol=args.newton_tol)
         base["config"].update({"rs": args.rs, "seed": args.seed})
         payload = {
             **base,
@@ -513,8 +504,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--truncation-tol", type=float, default=1e-14,
-                   dest="truncation_tol")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,13 @@ _TWO_PI_I = 2j * np.pi
 # Hard cap on theta/Eisenstein series length; hit only for Im tau far below
 # anything the package supports (boundary scans stop at Im tau = 0.05).
 _MAX_TERMS = 4000
+
+# Relative size of the first omitted theta or Eisenstein term; results
+# report it as their "truncation_tol".
+TRUNCATION_TOL = 1e-14
+
+# Evaluation points closer than this to a lattice point raise PoleError.
+POLE_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,6 @@ class LatticeData:
     g3: complex
     eta1: complex
     eta2: complex
-    truncation_tol: float
-    pole_guard: float
 
     @property
     def half_periods(self):
@@ -55,7 +60,7 @@ class LatticeData:
         return (self.e1, self.e2, self.e3)
 
 
-def _eisenstein_e2(q: complex, tol: float) -> complex:
+def _eisenstein_e2(q: complex) -> complex:
     """E2(tau) = 1 - 24 sum sigma_1(m) p^m, p = q^2, via the Lambert form
     sum_{k>=1} k p^k / (1 - p^k)."""
     p = q * q
@@ -65,19 +70,20 @@ def _eisenstein_e2(q: complex, tol: float) -> complex:
         pk *= p
         term = k * pk / (1.0 - pk)
         acc += term
-        if abs(term) < tol * max(1.0, abs(acc)):
+        if abs(term) < TRUNCATION_TOL * max(1.0, abs(acc)):
             break
     else:
         raise NonConvergenceError("Eisenstein E2 series did not truncate")
     return 1.0 - 24.0 * acc
 
 
-def _theta1_block(v, q: complex, tol: float, im_bound: float):
+def _theta1_block(v, q: complex):
     """theta1(v|q) and its first three v-derivatives, vectorized over v.
 
-    ``im_bound`` is an upper bound on |Im v| over the input; it fixes a
-    safe series length a priori, while the loop still exits early once the
-    worst-case next term is below tol * (accumulated magnitude).
+    v must be reduced to the cell, so |Im v| <= Im tau / 2; that bound
+    fixes a safe series length a priori, while the loop still exits early
+    once the worst-case next term is below TRUNCATION_TOL * (accumulated
+    magnitude).
     """
     v = np.asarray(v, dtype=complex)
     th = np.zeros_like(v)
@@ -88,6 +94,7 @@ def _theta1_block(v, q: complex, tol: float, im_bound: float):
     if absq >= 1.0:
         raise ValueError("nome |q| >= 1; tau must satisfy Im tau > 0")
     logq = np.log(absq)
+    im_bound = -logq / (2.0 * np.pi)
     floor = 0.0
     for n in range(_MAX_TERMS):
         a = (2 * n + 1) * np.pi
@@ -102,7 +109,7 @@ def _theta1_block(v, q: complex, tol: float, im_bound: float):
         # worst-case magnitude of the NEXT term (third derivative weight)
         nxt = (2 * n + 3) * np.pi
         bound = 2.0 * np.exp(((n + 1.5) ** 2) * logq + nxt * im_bound) * nxt ** 3
-        if n >= 1 and bound < tol * max(floor, 1e-300):
+        if n >= 1 and bound < TRUNCATION_TOL * max(floor, 1e-300):
             break
     else:
         raise NonConvergenceError("theta1 series did not truncate")
@@ -128,22 +135,7 @@ def reduce_to_cell(z, tau: complex):
     return z_red, m.astype(int), n.astype(int)
 
 
-def _nearest_lattice_distance(z_red, tau: complex):
-    """Euclidean distance from reduced points to the nearest lattice point."""
-    z_red = np.asarray(z_red, dtype=complex)
-    cands = np.array(
-        [0.0, 1.0, -1.0, tau, -tau, 1 + tau, -1 - tau, 1 - tau, -1 + tau],
-        dtype=complex,
-    )
-    d = np.abs(z_red[..., None] - cands)
-    return d.min(axis=-1)
-
-
-def make_lattice(
-    tau: complex,
-    truncation_tol: float = 1e-14,
-    pole_guard: float = 1e-6,
-) -> LatticeData:
+def make_lattice(tau: complex) -> LatticeData:
     """Build the cached lattice constants for Z + Z*tau.
 
     Raises ValueError unless Im tau > 0.
@@ -154,96 +146,68 @@ def make_lattice(
     if tau.imag <= 0:
         raise ValueError(f"Im tau must be positive, got tau = {tau}")
     q = np.exp(1j * np.pi * tau)
-    eta1 = (np.pi ** 2 / 3.0) * _eisenstein_e2(q, truncation_tol)
+    eta1 = (np.pi ** 2 / 3.0) * _eisenstein_e2(q)
     eta2 = eta1 * tau - _TWO_PI_I
 
-    # e_k by direct wp evaluation at the half periods; wp needs only eta1.
-    def _wp_raw(z):
-        th, th1, th2, _ = _theta1_block(
-            np.asarray(z, dtype=complex), q, truncation_tol,
-            im_bound=abs(np.imag(z)),
-        )
-        return -eta1 - (th2 * th - th1 * th1) / (th * th)
-
-    e1 = complex(_wp_raw(0.5))
-    e2 = complex(_wp_raw(tau / 2))
-    e3 = complex(_wp_raw((1 + tau) / 2))
+    # e_k by one evaluation at the three half periods; it reads only tau,
+    # q, eta1 and eta2, so the e_k and g_k are placeholders until then.
+    nan = complex(np.nan, np.nan)
+    cell = LatticeData(tau=tau, q=complex(q), e1=nan, e2=nan, e3=nan,
+                       g2=nan, g3=nan, eta1=complex(eta1), eta2=complex(eta2))
+    _, es, _ = zeta_wp_wp_prime(np.array(cell.half_periods[1:]), cell)
+    e1, e2, e3 = (complex(e) for e in es)
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return LatticeData(
-        tau=tau, q=complex(q), e1=e1, e2=e2, e3=e3, g2=g2, g3=g3,
-        eta1=complex(eta1), eta2=complex(eta2),
-        truncation_tol=truncation_tol, pole_guard=pole_guard,
-    )
-
-
-def _reduced_or_raise(z, L: LatticeData):
-    z_red, m, n = reduce_to_cell(z, L.tau)
-    dist = _nearest_lattice_distance(z_red, L.tau)
-    if np.any(dist < L.pole_guard):
-        bad = np.asarray(z, dtype=complex)[np.asarray(dist) < L.pole_guard]
-        raise PoleError(
-            f"evaluation point within pole guard {L.pole_guard:g} of a "
-            f"lattice point (e.g. z = {np.ravel(bad)[0]})"
-        )
-    return z_red, m, n
-
-
-def wp(z, L: LatticeData):
-    """Weierstrass wp(z) on Z + Z*tau.  Accepts scalars or arrays."""
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z_red, _, _ = _reduced_or_raise(z, L)
-    th, th1, th2, _ = _theta1_block(
-        z_red, L.q, L.truncation_tol, im_bound=abs(L.tau.imag) / 2,
-    )
-    out = -L.eta1 - (th2 * th - th1 * th1) / (th * th)
-    return complex(out) if scalar else out
-
-
-def wp_prime(z, L: LatticeData):
-    """wp'(z) = -(d^3/dz^3) log theta1(z)."""
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z_red, _, _ = _reduced_or_raise(z, L)
-    th, th1, th2, th3 = _theta1_block(
-        z_red, L.q, L.truncation_tol, im_bound=abs(L.tau.imag) / 2,
-    )
-    out = -(th3 * th * th - 3.0 * th2 * th1 * th + 2.0 * th1 ** 3) / th ** 3
-    return complex(out) if scalar else out
-
-
-def wp_second(z, L: LatticeData):
-    """wp''(z) = 6 wp(z)^2 - g2/2 (the derivative of the quartic identity)."""
-    p = wp(z, L)
-    return 6.0 * p * p - L.g2 / 2.0
-
-
-def zeta_w(z, L: LatticeData):
-    """Weierstrass zeta(z), by quasi-periodic reduction to the cell plus the
-    theta logarithmic derivative: zeta(z) = eta1 z + theta1'(z)/theta1(z) for
-    reduced z, then zeta(z + m + n*tau) = zeta(z) + m*eta1 + n*eta2."""
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z_red, m, n = _reduced_or_raise(z, L)
-    th, th1, _, _ = _theta1_block(
-        z_red, L.q, L.truncation_tol, im_bound=abs(L.tau.imag) / 2,
-    )
-    out = L.eta1 * z_red + th1 / th + m * L.eta1 + n * L.eta2
-    return complex(out) if scalar else out
+    return replace(cell, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3)
 
 
 def zeta_wp_wp_prime(z, L: LatticeData):
-    """(zeta(z), wp(z), wp'(z)) from one cell reduction and one theta
-    block; each entry uses the same formula as zeta_w, wp and wp_prime."""
+    """(zeta(z), wp(z), wp'(z)) on Z + Z*tau from one cell reduction and
+    one theta block.  Accepts scalars or arrays; raises PoleError when a
+    point lies within POLE_GUARD of the lattice.
+
+    With z = z_red + m + n*tau and z_red reduced to the cell:
+    zeta(z) = eta1 z_red + theta1'(z_red)/theta1(z_red) + m eta1 + n eta2,
+    wp = -zeta' and wp' = -zeta''.  Lattice coordinates of z_red lie in
+    [-1/2, 1/2], so |z_red| is its distance to the nearest lattice point
+    wherever the guard matters."""
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z_red, m, n = _reduced_or_raise(z, L)
-    th, th1, th2, th3 = _theta1_block(
-        z_red, L.q, L.truncation_tol, im_bound=abs(L.tau.imag) / 2,
-    )
+    z_red, m, n = reduce_to_cell(z, L.tau)
+    near = np.abs(z_red) < POLE_GUARD
+    if np.any(near):
+        bad = np.asarray(z, dtype=complex)[near]
+        raise PoleError(
+            f"evaluation point within pole guard {POLE_GUARD:g} of a "
+            f"lattice point (e.g. z = {np.ravel(bad)[0]})"
+        )
+    th, th1, th2, th3 = _theta1_block(z_red, L.q)
     zeta = L.eta1 * z_red + th1 / th + m * L.eta1 + n * L.eta2
     p = -L.eta1 - (th2 * th - th1 * th1) / (th * th)
     pp = -(th3 * th * th - 3.0 * th2 * th1 * th + 2.0 * th1 ** 3) / th ** 3
     if scalar:
         return complex(zeta), complex(p), complex(pp)
     return zeta, p, pp
+
+
+def zeta_w(z, L: LatticeData):
+    """Weierstrass zeta(z); zeta(z + m + n*tau) = zeta(z) + m*eta1 + n*eta2."""
+    return zeta_wp_wp_prime(z, L)[0]
+
+
+def wp(z, L: LatticeData):
+    """Weierstrass wp(z) on Z + Z*tau.  Accepts scalars or arrays."""
+    return zeta_wp_wp_prime(z, L)[1]
+
+
+def wp_prime(z, L: LatticeData):
+    """wp'(z) = -(d^3/dz^3) log theta1(z)."""
+    return zeta_wp_wp_prime(z, L)[2]
+
+
+def wp_second(z, L: LatticeData):
+    """wp''(z) = 6 wp(z)^2 - g2/2 (the derivative of the quartic identity)."""
+    p = wp(z, L)
+    return 6.0 * p * p - L.g2 / 2.0
 
 
 def wp_half_shift(z, L: LatticeData, k: int):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import LatticeData, _nearest_lattice_distance, make_lattice
+from .elliptic import LatticeData, make_lattice
 from .errors import CheckError, NonConvergenceError, PoleError
 from .poly import ComplexPoly
 from .spectral import _potential, q_via_phi_ansatz, roots_and_classify
@@ -67,6 +67,18 @@ __all__ = [
 
 # smallest distance between a loop and a pole of V that make_problem accepts
 _MIN_CLEARANCE = 0.03
+
+
+def _nearest_lattice_distance(z, tau: complex):
+    """Distance from z to the nearest of 0 and its eight lattice
+    neighbours (the nearest lattice point for z near the cell)."""
+    z = np.asarray(z, dtype=complex)
+    cands = np.array(
+        [0.0, 1.0, -1.0, tau, -tau, 1 + tau, -1 - tau, 1 - tau, -1 + tau],
+        dtype=complex,
+    )
+    d = np.abs(z[..., None] - cands)
+    return d.min(axis=-1)
 
 
 def _check_clearance(L: LatticeData, n, z0, omega):
@@ -457,7 +469,6 @@ def dual_torus_exclusion(
     num: int = 801,
     qpoly: ComplexPoly | None = None,
     root_tol: float = 1e-4,
-    truncation_tol: float = 1e-14,
     **problem_kw,
 ) -> dict:
     """Intersect the period-1 stability set with its transport to the
@@ -467,7 +478,7 @@ def dual_torus_exclusion(
     a root of Q.  Pass the spectral polynomial as ``qpoly``."""
     n = tuple(int(x) for x in n)
     tau = complex(tau)
-    L = make_lattice(tau, truncation_tol=truncation_tol)
+    L = make_lattice(tau)
     prob = make_problem(L, n, **problem_kw)
     bands = stability_set_1d(prob, e_min, e_max, num=num)
 
@@ -477,7 +488,7 @@ def dual_torus_exclusion(
     t2 = tau2.real
 
     n_swap = (n[0], n[2], n[1], n[3])
-    Ld = make_lattice(-1.0 / tau, truncation_tol=truncation_tol)
+    Ld = make_lattice(-1.0 / tau)
     prob_d = make_problem(Ld, n_swap, **problem_kw)
     lo_d, hi_d = sorted((t2 * e_min, t2 * e_max))
     bands_d = stability_set_1d(prob_d, lo_d, hi_d, num=num)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import LatticeData, make_lattice, zeta_w, zeta_wp_wp_prime
+from .elliptic import LatticeData, make_lattice, zeta_wp_wp_prime
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -129,16 +129,15 @@ def z_rs(L: LatticeData, r: float, s: float):
     """Z_{r,s} = zeta(r + s*tau) - r*eta1 - s*eta2 (odd in (r,s); zero at
     half-period torsion).  Raises PoleError when r + s*tau hits the
     lattice."""
-    z = r + s * L.tau
-    return zeta_w(z, L) - r * L.eta1 - s * L.eta2
+    return z_n(L, r, s, 1)
 
 
 def z_n(L: LatticeData, r: float, s: float, n: int):
     """Pre-modular form of weight n(n+1)/2 at (r, s) on lattice L."""
-    if n == 1:
-        return z_rs(L, r, s)
     zeta, p, pp = zeta_wp_wp_prime(r + s * L.tau, L)
     Z = zeta - r * L.eta1 - s * L.eta2
+    if n == 1:
+        return Z
     if n == 2:
         return Z ** 3 - 3.0 * p * Z - pp
     g2, g3 = L.g2, L.g3
@@ -191,24 +190,20 @@ def empirical_signs(L: LatticeData, r: float, s: float, n: int) -> dict:
 
 # ── transformation identities ─────────────────────────────────────────────
 
-def t_shift_identity(n: int, r: float, s: float, tau: complex,
-                     truncation_tol: float = 1e-14) -> dict:
+def t_shift_identity(n: int, r: float, s: float, tau: complex) -> dict:
     """Z^(n)_{r,s}(tau) = Z^(n)_{r+s,s}(tau - 1); returns both sides."""
-    lhs = z_n(make_lattice(tau, truncation_tol=truncation_tol), r, s, n)
-    rhs = z_n(make_lattice(tau - 1.0, truncation_tol=truncation_tol), r + s, s, n)
+    lhs = z_n(make_lattice(tau), r, s, n)
+    rhs = z_n(make_lattice(tau - 1.0), r + s, s, n)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "relative_error": abs(lhs - rhs) / scale}
 
 
-def s_weight_identity(n: int, r: float, s: float, tau: complex,
-                      truncation_tol: float = 1e-14) -> dict:
+def s_weight_identity(n: int, r: float, s: float, tau: complex) -> dict:
     """(1-tau)^w Z^(n)_{r,s}(tau) = Z^(n)_{r,r+s}(tau/(1-tau)), w = n(n+1)/2."""
     w = WEIGHTS[n]
-    lhs = (1.0 - tau) ** w * z_n(
-        make_lattice(tau, truncation_tol=truncation_tol), r, s, n
-    )
+    lhs = (1.0 - tau) ** w * z_n(make_lattice(tau), r, s, n)
     tau2 = tau / (1.0 - tau)
-    rhs = z_n(make_lattice(tau2, truncation_tol=truncation_tol), r, r + s, n)
+    rhs = z_n(make_lattice(tau2), r, r + s, n)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "relative_error": abs(lhs - rhs) / scale}
 
@@ -219,7 +214,6 @@ def gamma_weight_check(
     s: float,
     tau: complex,
     gamma=((1, 0), (5, 1)),
-    truncation_tol: float = 1e-14,
 ) -> dict:
     """Modular weight test: for gamma in the principal congruence group
     fixing the torsion class of (r, s),
@@ -232,10 +226,8 @@ def gamma_weight_check(
         raise ValueError("gamma must have determinant 1")
     w = WEIGHTS[n]
     t2 = (a * tau + b) / (c * tau + d)
-    lhs = z_n(make_lattice(t2, truncation_tol=truncation_tol), r, s, n)
-    rhs = (c * tau + d) ** w * z_n(
-        make_lattice(tau, truncation_tol=truncation_tol), r, s, n
-    )
+    lhs = z_n(make_lattice(t2), r, s, n)
+    rhs = (c * tau + d) ** w * z_n(make_lattice(tau), r, s, n)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "relative_error": abs(lhs - rhs) / scale}
 
@@ -255,8 +247,11 @@ def rs_grid_default(nr: int = 20, ns: int = 20):
 def boundary_tau_samples(count: int = 60, h_min: float = 0.05, h_max: float = 10.0):
     """tau samples on the three boundary pieces of F0: the vertical lines
     Re = 0 and Re = 1 (heights log-spaced in [h_min, h_max]) and the
-    circle |tau - 1/2| = 1/2 clipped to Im >= h_min."""
-    per = max(1, count // 3)
+    circle |tau - 1/2| = 1/2 clipped to Im >= h_min.  Raises ValueError
+    unless count >= 3, one sample per piece."""
+    if count < 3:
+        raise ValueError(f"count must be >= 3, got {count}")
+    per = count // 3
     heights = np.geomspace(h_min, h_max, per)
     left = 1j * heights
     right = 1.0 + 1j * heights
@@ -271,7 +266,6 @@ def boundary_nonvanishing_scan(
     rs_grid=None,
     tau_grid=None,
     floor: float = 1e-8,
-    truncation_tol: float = 1e-14,
     collect: bool = False,
 ) -> dict:
     """min |Z^(n)| over (r,s) x boundary tau, with its argmin and a strict
@@ -283,7 +277,10 @@ def boundary_nonvanishing_scan(
     grid in one array call.  The argmin is the first minimum in (tau
     index, grid index) order; a NaN value fails the verdict.
     ``collect=True`` additionally returns every sampled value as rows
-    (r, s, tau, abs) in that order."""
+    (r, s, tau, abs) in that order.  Raises ValueError unless floor is
+    finite and positive: a floor <= 0 passes any values."""
+    if not (np.isfinite(floor) and floor > 0):
+        raise ValueError(f"floor must be finite and > 0, got {floor}")
     if rs_grid is None:
         rs_grid = rs_grid_default()
     if tau_grid is None:
@@ -291,10 +288,7 @@ def boundary_nonvanishing_scan(
     rs = np.array([(float(r), float(s)) for r, s in rs_grid]).reshape(-1, 2)
     taus = [complex(t) for t in np.ravel(tau_grid)]
     r, s = rs[:, 0], rs[:, 1]
-    vals = np.array([
-        np.abs(z_n(make_lattice(tau, truncation_tol=truncation_tol), r, s, n))
-        for tau in taus
-    ])
+    vals = np.array([np.abs(z_n(make_lattice(tau), r, s, n)) for tau in taus])
     it, ig = np.unravel_index(np.argmin(vals), vals.shape)
     best = float(vals[it, ig])
     out = {
@@ -325,15 +319,18 @@ def zero_find(
     h: float = 1e-6,
     tol: float = 1e-10,
     max_iter: int = 60,
-    truncation_tol: float = 1e-14,
 ) -> dict:
     """Newton iteration on tau for Z^(n)_{r,s}(tau) = 0 with a central
     difference derivative.  Converged means |Z| < tol and |step| < tol;
     divergence and half-plane exits raise NonConvergenceError.  The
-    returned F0 location tells whether the zero counts (interior) or not."""
+    returned F0 location tells whether the zero counts (interior) or not.
+    Raises ValueError unless tol is finite and positive (no start could
+    converge otherwise)."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     def f(t):
-        return z_n(make_lattice(t, truncation_tol=truncation_tol), r, s, n)
+        return z_n(make_lattice(t), r, s, n)
 
     t = complex(seed_tau)
     if t.imag <= 0:

@@ -41,6 +41,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .elliptic import (
+    TRUNCATION_TOL,
     LatticeData,
     make_lattice,
     wp,
@@ -748,7 +749,7 @@ def spectral_report(
             "tol_im": tol_im,
             "tol_gap": tol_gap,
             "route_tol": route_tol,
-            "truncation_tol": L.truncation_tol,
+            "truncation_tol": TRUNCATION_TOL,
         },
     )
 
@@ -756,7 +757,6 @@ def spectral_report(
 def modular_covariance_check(
     n,
     tau: complex,
-    truncation_tol: float = 1e-14,
     match_tol: float = 1e-6,
 ):
     """Verify that the roots computed on the lattice of -1/tau (with the
@@ -767,8 +767,8 @@ def modular_covariance_check(
     """
     n = _as_tuple(n)
     n_swap = (n[0], n[2], n[1], n[3])
-    L = make_lattice(tau, truncation_tol=truncation_tol)
-    Ld = make_lattice(-1.0 / tau, truncation_tol=truncation_tol)
+    L = make_lattice(tau)
+    Ld = make_lattice(-1.0 / tau)
     q = q_via_phi_ansatz(L, n)
     qd = q_via_phi_ansatz(Ld, n_swap)
     r = np.asarray(roots_and_classify(q).roots)
@@ -813,7 +813,6 @@ def tau_scan(
     b_values,
     tol_im: float = 1e-6,
     tol_gap: float = 1e-6,
-    truncation_tol: float = 1e-14,
 ) -> ScanResult:
     """Classify the roots of Q along tau = i*b for each b in ``b_values``
     and compare with the class forced by the condition tables: C1/C2 expect
@@ -827,7 +826,7 @@ def tau_scan(
     def worker(b):
         b = float(b)
         try:
-            L = make_lattice(1j * b, truncation_tol=truncation_tol)
+            L = make_lattice(1j * b)
             rr = spectral_report(L, n, route="both",
                                  tol_im=tol_im, tol_gap=tol_gap).root_report
             return ScanPoint(

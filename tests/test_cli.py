@@ -114,19 +114,46 @@ def test_scan_csv_deterministic_modulo_stamp(capsys, tmp_path):
     assert bodies[0] == bodies[1]
 
 
-@pytest.mark.parametrize("argv", [
+SUBCOMMANDS = [
     ["qpoly", "--n", "1,0,0,1", "--tau", "0+1i"],
     ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3"],
     ["bands", "--n", "1,0,0,0", "--tau", "0+1i", "--E", "-8:8:5"],
     ["unitary", "--n", "2,0,0,0", "--tau", "0+1i", "--re", "-6:6:2",
      "--im", "-2:2:2"],
     ["premodular", "--op", "boundary-scan", "--n", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
 def test_threads_flag_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--threads", "2")
     assert code == 1
     assert out == ""
     assert "--threads" in err
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
+def test_truncation_tol_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--truncation-tol", "1e-10")
+    assert code == 1
+    assert out == ""
+    assert "--truncation-tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "zero-find-multi", "--rs", "0.15,0.15", "--newton-tol", "0"],
+    ["--op", "zero-find-multi", "--rs", "0.15,0.15", "--newton-tol", "-1"],
+    ["--op", "zero-find-multi", "--rs", "0.15,0.15", "--newton-tol", "nan"],
+    ["--op", "zero-find", "--rs", "0.15,0.15", "--tau", "0.7+0.7i",
+     "--newton-tol", "0"],
+    ["--op", "boundary-scan", "--floor", "-1"],
+    ["--op", "boundary-scan", "--floor", "0"],
+])
+def test_premodular_refuses_vacuous_tolerances(capsys, argv):
+    code, out, err = run(capsys, "premodular", "--n", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be finite and > 0" in err
 
 
 def test_bands_payload(capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import lattice_ref, wp_prime_ref, wp_ref, zeta_ref
 from tvspec.elliptic import (
+    POLE_GUARD,
     make_lattice,
     reduce_to_cell,
     wp,
@@ -13,8 +14,11 @@ from tvspec.elliptic import (
     wp_series_half,
     wp_series_origin,
     zeta_w,
+    zeta_wp_wp_prime,
 )
 from tvspec.errors import PoleError
+from tvspec.hill import _nearest_lattice_distance
+from tvspec.premodular import z_n, z_rs
 
 from conftest import lattice
 
@@ -27,7 +31,9 @@ def _points(tau):
     return [0.31 + 0.17j, 0.45 * tau, 0.12 + 0.41 * tau, -0.23 + 0.29 * tau]
 
 
-@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize(
+    "tau", TAUS + (1 + 0.3j, 0.5 + 0.5j, 0.2j, 0.5 + 0.866j)
+)
 def test_lattice_constants_match_theta_reference(tau):
     L = lattice(tau)
     ref = lattice_ref(tau)
@@ -170,6 +176,56 @@ def test_pole_guard():
             wp(z, L)
         with pytest.raises(PoleError):
             zeta_w(z, L)
+
+
+@pytest.mark.parametrize("tau", TAUS[:3] + (0.5 + 0.3j, 1 + 0.05j))
+def test_public_evaluators_select_from_one_evaluator(tau):
+    L = lattice(tau)
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-2, 2, (7, 9)) + 1j * rng.uniform(-2, 2, (7, 9))
+    for z in (zs, complex(zs[0, 0])):
+        zeta, p, pp = zeta_wp_wp_prime(z, L)
+        assert np.array_equal(zeta_w(z, L), zeta)
+        assert np.array_equal(wp(z, L), p)
+        assert np.array_equal(wp_prime(z, L), pp)
+    r = rng.uniform(-1, 1, (4, 5))
+    s = rng.uniform(-1, 1, (4, 5))
+    assert np.array_equal(z_rs(L, r, s), z_n(L, r, s, 1))
+    assert z_rs(L, 0.3, 0.2) == z_n(L, 0.3, 0.2, 1)
+    # (r, s) with z = r + s*tau: on a lattice point, 3e-7 off one (inside
+    # the guard) and 3e-6 off one (outside it)
+    cases = [((0.0, 0.0), True), ((1.0, 1.0), True), ((3e-7, 2.0), True),
+             ((3e-6, 2.0), False),
+             ((np.array([0.3, -1.0]), np.array([0.2, 3.0])), True)]
+    evaluators = (zeta_wp_wp_prime, zeta_w, wp, wp_prime, wp_second)
+    for (r, s), pole in cases:
+        z = r + s * tau
+        for f in evaluators + (lambda z, L: z_rs(L, r, s),):
+            if pole:
+                with pytest.raises(PoleError):
+                    f(z, L)
+            else:
+                f(z, L)
+
+
+def test_pole_guard_from_reduced_modulus():
+    # After reduction to the cell, |z_red| < POLE_GUARD is the same test
+    # as "within POLE_GUARD of some lattice point", down to Im tau = 0.05.
+    ratios = np.geomspace(0.3, 3.0, 8)
+    angles = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))
+    offsets = (ratios[:, None] * angles[None, :]).ravel() * POLE_GUARD
+    taus = (1j, 2j, 0.31 + 1.12j, -0.4 + 0.8j, 0.5 + 0.3j, 1 + 0.05j,
+            0.9975 + 0.05j)
+    inside = np.abs(offsets) < POLE_GUARD
+    for tau in taus:
+        lattice_pts = np.array([m + n * tau for m in range(-2, 3)
+                                for n in range(-2, 3)])
+        z = (lattice_pts[:, None] + offsets[None, :]).ravel()
+        z_red, _, _ = reduce_to_cell(z, tau)
+        guard = np.abs(z_red) < POLE_GUARD
+        assert np.array_equal(guard, np.tile(inside, len(lattice_pts)))
+        dist = _nearest_lattice_distance(z_red, tau)
+        assert np.array_equal(guard, dist < POLE_GUARD)
 
 
 def test_reduce_to_cell_roundtrip():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tvspec import premodular
 from tvspec.elliptic import zeta_wp_wp_prime
 from tvspec.errors import NonConvergenceError, PoleError
 from tvspec.premodular import (
@@ -128,6 +129,39 @@ def test_zero_find_failure_modes():
     # iterates chase the cusp: |Z| decays but tau runs off
     with pytest.raises(NonConvergenceError):
         zero_find(1, 0.6, 0.1, 0.3 + 1.5j)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_zero_find_refuses_vacuous_tol(tol, monkeypatch):
+    def no_lattice(tau):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(premodular, "make_lattice", no_lattice)
+    with pytest.raises(ValueError, match="tol"):
+        zero_find(2, 0.15, 0.15, 0.7 + 0.7j, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        zero_find_multi(2, 0.15, 0.15, tol=tol)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])
+def test_boundary_scan_refuses_vacuous_floor(floor):
+    with pytest.raises(ValueError, match="floor"):
+        boundary_nonvanishing_scan(2, rs_grid=[(0.3, 0.3)], tau_grid=[1j],
+                                   floor=floor)
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1, 2])
+def test_boundary_tau_samples_need_one_per_piece(count):
+    with pytest.raises(ValueError, match="count"):
+        boundary_tau_samples(count)
+
+
+def test_boundary_tau_samples_cover_every_piece():
+    for count in (3, 4, 5):
+        taus = boundary_tau_samples(count)
+        assert len(taus) == count
+        locs = {classify_f0(t).location for t in taus}
+        assert locs == {"boundary_left", "boundary_right", "boundary_circle"}
 
 
 def test_zero_find_multi_reports_absence():

@@ -28,3 +28,14 @@ def test_script_runs(capsys, name, argv, first):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == first
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--tau-count", "1"], "count must be >= 3"),
+    (["--floor", "-1"], "floor must be finite and > 0"),
+])
+def test_boundary_script_rejects_bad_input(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load("premodular_boundary").main(["2", "--rs", "2", "2", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
