@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import re
@@ -573,6 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 _DASH_VALUE = re.compile(r"^-(\d|\.)")
 
 
@@ -598,11 +605,10 @@ def _merge_dash_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv)))
+        args = _parser().parse_args(_merge_dash_values(list(argv)))
         return args.func(args)
     except SystemExit as exc:  # --help / --version
         code = exc.code

@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npp
 
 from .elliptic import LatticeData
 from .errors import CheckError
-from .poly import ComplexPoly, aberth_roots, compose_affine
+from .poly import ComplexPoly, compose_affine, polynomial_roots
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def interlacing_check(
     max_imag = 0.0
     min_gap = np.inf
     for m in range(1, N + 2):
-        r = aberth_roots(cs[m])
+        r = polynomial_roots(cs[m])
         max_imag = max(max_imag, float(np.max(np.abs(r.imag))) if len(r) else 0.0)
         scale = 1.0 + float(np.max(np.abs(r))) if len(r) else 1.0
         if np.max(np.abs(r.imag)) > tol_im * scale:

@@ -1,8 +1,12 @@
-"""Simultaneous polynomial root finding (Aberth–Ehrlich) with Newton polish.
+"""Polynomial roots as companion-matrix eigenvalues, with Newton polish.
 
 Coefficients are ascending (c[0] + c[1] x + ...), complex, dense.  The
-iteration is deterministic: fixed initial circle, no randomness, so repeated
-calls give bit-identical output.
+roots are the eigenvalues of the balanced companion matrix (LAPACK
+``geev`` via ``numpy.polynomial.polynomial.polyroots``), which are
+backward stable in the coefficients (Edelman & Murakami, Math. Comp. 64,
+1995); a few plain Newton steps on the undeflated polynomial follow.
+There is no iteration budget and no randomness, so repeated calls give
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
-
-_MAX_ITER = 400
+POLISH_STEPS = 3
 
 
 def polyval_and_deriv(coeffs: np.ndarray, x: np.ndarray):
@@ -26,31 +28,16 @@ def polyval_and_deriv(coeffs: np.ndarray, x: np.ndarray):
     return p, dp
 
 
-def _initial_guesses(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    an = coeffs[-1]
-    center = -coeffs[-2] / (n * an) if n >= 1 else 0.0
-    r = 1.0 + max(abs(c / an) for c in coeffs[:-1])  # Cauchy bound
-    # spread start points on a circle; the 0.4 phase offset breaks any
-    # symmetry a real-coefficient input would otherwise preserve forever
-    ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.4
-    return center + 0.7 * r * np.exp(1j * ang)
-
-
-def aberth_roots(
-    coeffs,
-    tol: float = 1e-13,
-    max_iter: int = _MAX_ITER,
-    polish_steps: int = 3,
-) -> np.ndarray:
+def polynomial_roots(coeffs) -> np.ndarray:
     """All roots of the polynomial with ascending coefficients ``coeffs``.
 
-    Convergence: max Aberth correction below tol * (1 + |root|).  After
-    convergence every root takes ``polish_steps`` plain Newton steps on the
-    undeflated polynomial.  Raises NonConvergenceError (with the current
-    iterate attached as ``partial``) if the budget runs out.
+    Companion-matrix eigenvalues, then ``POLISH_STEPS`` Newton steps on
+    each root.  Raises ValueError for the zero polynomial and for
+    non-finite coefficients.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
+    if not np.all(np.isfinite(c)):
+        raise ValueError("polynomial coefficients must be finite")
     if c.size == 0 or not np.any(c != 0):
         raise ValueError("zero polynomial has no well-defined root set")
     # strip trailing (leading-degree) zeros
@@ -63,31 +50,8 @@ def aberth_roots(
     if deg == 1:
         return np.array([-c[0] / c[1]], dtype=complex)
 
-    z = _initial_guesses(c)
-    absc = np.abs(c)
-    for _ in range(max_iter):
-        p, dp = polyval_and_deriv(c, z)
-        # backward-error stop: |p(z)| at the level of rounding noise in the
-        # evaluation itself means no further progress is representable
-        # (handles root clusters, where corrections stall at cluster size)
-        mag = np.polynomial.polynomial.polyval(np.abs(z), absc)
-        if np.all(np.abs(p) <= 40.0 * np.finfo(float).eps * mag):
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = p / dp
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            s = (1.0 / diff).sum(axis=1) - 1.0  # subtract the diagonal 1s
-            corr = w / (1.0 - w * s)
-        corr = np.where(np.isfinite(corr), corr, w)
-        z = z - corr
-        if np.max(np.abs(corr) / (1.0 + np.abs(z))) < tol:
-            break
-    else:
-        raise NonConvergenceError(
-            f"Aberth iteration exceeded {max_iter} steps", partial=z
-        )
-    for _ in range(polish_steps):
+    z = np.polynomial.polynomial.polyroots(c)
+    for _ in range(POLISH_STEPS):
         p, dp = polyval_and_deriv(c, z)
         step = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.0)
         z = z - step
@@ -143,8 +107,8 @@ class ComplexPoly:
             tuple(np.polynomial.polynomial.polymul(self.asarray(), other.asarray()))
         )
 
-    def roots(self, **kw) -> np.ndarray:
-        return aberth_roots(self.asarray(), **kw)
+    def roots(self) -> np.ndarray:
+        return polynomial_roots(self.asarray())
 
     def real_coefficients(self, tol: float = 1e-10) -> bool:
         c = self.asarray()

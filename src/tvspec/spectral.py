@@ -53,7 +53,6 @@ from .errors import CheckError, NotConstructibleError, TvspecError
 from .heun import TildeAlpha, p_polynomial
 from .poly import (
     ComplexPoly,
-    aberth_roots,
     coefficient_distance,
     compose_affine,
     match_roots,
@@ -74,7 +73,6 @@ __all__ = [
     "spectral_report",
     "modular_covariance_check",
     "tau_scan",
-    "aberth_roots",
 ]
 
 # Klein four-group of index permutations that leave Q invariant

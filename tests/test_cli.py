@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tvspec import cli
 from tvspec.cli import fmt_complex, main, parse_complex, parse_grid
 from tvspec.hill import trace_on_grid
 from tvspec.premodular import z_n
@@ -47,6 +48,30 @@ def test_qpoly_json_payload(capsys):
     assert any(r["im"] != 0 for r in doc["roots"])
     kinds = {row["kind"] for row in doc["rows"]}
     assert kinds == {"coefficient", "root"}
+
+
+@pytest.mark.parametrize("n, tau", [("0,0,1,4", "0.000000+0.635897i"),
+                                    ("0,0,4,1", "0.000000+0.743590i")])
+def test_qpoly_near_double_roots_answered(capsys, n, tau):
+    code, out, err = run(capsys, "qpoly", "--n", n, "--tau", tau)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["classification"] == "real_distinct"
+    assert len(doc["roots"]) == 9
+
+
+def test_parser_reused_after_usage_error(capsys):
+    code, _, err = run(capsys, "qpoly", "--n", "2,0,0,0", "--tau", "0+1i",
+                       "--route", "phi", "--bogus")
+    assert code == 1 and "usage error" in err
+    code, out, _ = run(capsys, "qpoly", "--n", "2,0,0,0", "--tau", "0+1i")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["route"] == "both"
+    assert doc["route_used"] == "both"
+    assert doc["classification"] == "real_distinct"
+    assert len(doc["roots"]) == 5
+    assert cli._parser() is cli._parser()
 
 
 def test_qpoly_rejects_zero_tuple(capsys):

@@ -5,10 +5,10 @@ from numpy.polynomial import polynomial as npp
 
 from tvspec.poly import (
     ComplexPoly,
-    aberth_roots,
     coefficient_distance,
     compose_affine,
     match_roots,
+    polynomial_roots,
     polyval_and_deriv,
     residuals,
 )
@@ -27,7 +27,7 @@ def test_matches_numpy_roots_on_random_polynomials():
         for _ in range(5):
             c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             c[-1] += 3.0  # keep the leading coefficient well away from 0
-            mine = aberth_roots(c)
+            mine = polynomial_roots(c)
             ref = np.roots(c[::-1])
             _, dist = match_roots(mine, ref)
             assert dist < 1e-8 * (1.0 + np.max(np.abs(ref)))
@@ -50,7 +50,7 @@ def test_recovers_prescribed_roots(roots):
         np.fill_diagonal(gaps, np.inf)
         assume(gaps.min() > 0.05)
     c = _poly_from_roots(roots)
-    found = aberth_roots(c)
+    found = polynomial_roots(c)
     _, dist = match_roots(found, roots)
     assert dist < 1e-7 * (1.0 + np.max(np.abs(roots)))
 
@@ -59,7 +59,7 @@ def test_clustered_roots_backward_error():
     # (x - 1)^3 (x + 2): the cluster limits forward accuracy, so check
     # backward error instead of root positions
     c = _poly_from_roots([1.0, 1.0, 1.0, -2.0])
-    r = aberth_roots(c)
+    r = polynomial_roots(c)
     assert len(r) == 4
     res = residuals(c, r)
     assert np.max(res) < 1e-10
@@ -75,20 +75,29 @@ def test_residuals_and_polyval():
 
 def test_degenerate_inputs():
     with pytest.raises(ValueError):
-        aberth_roots(np.array([0.0, 0.0]))
-    assert len(aberth_roots(np.array([3.0]))) == 0
-    r = aberth_roots(np.array([1.0, 2.0]))
+        polynomial_roots(np.array([0.0, 0.0]))
+    assert len(polynomial_roots(np.array([3.0]))) == 0
+    r = polynomial_roots(np.array([1.0, 2.0]))
     assert abs(r[0] + 0.5) < 1e-14
     # trailing zero coefficients are stripped
-    r = aberth_roots(np.array([1.0, 2.0, 0.0, 0.0]))
+    r = polynomial_roots(np.array([1.0, 2.0, 0.0, 0.0]))
     assert abs(r[0] + 0.5) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0.0, np.nan)])
+def test_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        polynomial_roots(np.array([bad, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        polynomial_roots(np.array([1.0, 2.0, bad]))
 
 
 def test_deterministic():
     rng = np.random.default_rng(3)
     c = rng.normal(size=7) + 1j * rng.normal(size=7)
-    a = aberth_roots(c)
-    b = aberth_roots(c)
+    a = polynomial_roots(c)
+    b = polynomial_roots(c)
     assert np.array_equal(a, b)
 
 

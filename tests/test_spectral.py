@@ -207,6 +207,16 @@ def test_modular_covariance():
             assert res["passed"], (n, tau, res["max_match_distance"])
 
 
+@pytest.mark.parametrize("n, tau", [((0, 0, 1, 4), 0.635897j),
+                                    ((0, 0, 4, 1), 0.743590j)])
+def test_modular_covariance_near_double_roots(n, tau):
+    # near-double root pairs (215.6254/215.6263 and 161.408/161.419) on
+    # coefficients up to 2.7e18; the S-dual roots agree to ~1e-11
+    res = modular_covariance_check(n, tau, match_tol=1e-9)
+    assert len(res["roots_tau"]) == 9
+    assert res["passed"], (n, tau, res["max_match_distance"])
+
+
 def test_tau_scan_collects_failures_and_orders_points():
     res = tau_scan((1, 0, 0, 1), [0.8, 1.0, 1.2])
     assert res.expected == "has_complex"
