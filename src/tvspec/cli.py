@@ -53,7 +53,12 @@ from .premodular import (
     zero_find,
     zero_find_multi,
 )
-from .spectral import q_via_phi_ansatz, spectral_report, tau_scan
+from .spectral import (
+    FACTOR_GAP_TOL,
+    q_via_phi_ansatz,
+    spectral_report,
+    tau_scan,
+)
 
 
 class UsageError(ValueError):
@@ -251,7 +256,7 @@ def cmd_scan(args) -> int:
         "config": {"n": list(n), "b": args.b},
         "tolerances": {
             "tol_im": args.tol_im, "tol_gap": args.tol_gap,
-            "truncation_tol": TRUNCATION_TOL,
+            "factor_gap_tol": FACTOR_GAP_TOL, "truncation_tol": TRUNCATION_TOL,
         },
         "expected": res.expected,
         "points": len(res.points),
@@ -507,6 +512,14 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+_TOL_GAP_HELP = (
+    "relative root gap below which roots count as multiple; it governs "
+    'only diagnostics root_source "coefficients" (route phi, or a tuple '
+    'without a product form); "factor_union" roots use factor_gap_tol = '
+    f"{FACTOR_GAP_TOL:g}"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="tvspec", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -519,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("phi", "factor", "both"),
                    default="both")
     p.add_argument("--tol-im", type=float, default=1e-6, dest="tol_im")
-    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap")
+    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap",
+                   help=_TOL_GAP_HELP)
     p.add_argument("--route-tol", type=float, default=1e-8, dest="route_tol")
     _add_common(p)
     p.set_defaults(func=cmd_qpoly)
@@ -528,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="n0,n1,n2,n3")
     p.add_argument("--b", required=True, help="start:stop:count, b > 0")
     p.add_argument("--tol-im", type=float, default=1e-6, dest="tol_im")
-    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap")
+    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap",
+                   help=_TOL_GAP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 

@@ -41,7 +41,12 @@ import numpy as np
 from .elliptic import LatticeData, make_lattice
 from .errors import CheckError, NonConvergenceError, PoleError
 from .poly import ComplexPoly
-from .spectral import _potential, q_via_phi_ansatz, roots_and_classify
+from .spectral import (
+    _check_tolerances,
+    _potential,
+    q_via_phi_ansatz,
+    roots_and_classify,
+)
 
 __all__ = [
     "GLEProblem",
@@ -137,7 +142,9 @@ def make_problem(
 ) -> GLEProblem:
     """Prepare loop potentials (with pole-clearance checks) for the tuple
     ``n`` on lattice ``L``.  The default base point 1/4 + tau/4 sits midway
-    between the pole lines of both loop directions."""
+    between the pole lines of both loop directions.  rtol and atol must be
+    finite and positive (ValueError)."""
+    _check_tolerances(rtol=rtol, atol=atol)
     n = tuple(int(x) for x in n)
     if z_base is None:
         z_base = 0.25 + 0.25 * L.tau
@@ -406,9 +413,9 @@ def stability_set_1d(
     is within edge_tol (at most 200 halvings).  Orientation comes from the
     roles, not from re-sampled signs, so an edge that sits on a grid point
     (trace equal to +-2 within integrator noise) still converges to that
-    point instead of drifting across the cell."""
-    if not (math.isfinite(edge_tol) and edge_tol > 0):
-        raise ValueError(f"edge_tol must be finite and > 0, got {edge_tol!r}")
+    point instead of drifting across the cell.  edge_tol and im_tol must
+    be finite and positive (ValueError)."""
+    _check_tolerances(edge_tol=edge_tol, im_tol=im_tol)
     if not (math.isfinite(e_min) and math.isfinite(e_max) and e_min < e_max):
         raise ValueError(
             f"energy window needs finite e_min < e_max, got {e_min!r}, {e_max!r}"
@@ -585,7 +592,9 @@ def unitarity_grid(
     tol_im: float = 1e-6,
 ) -> dict:
     """Vectorized unitarity classification over a rectangular E-grid.
-    Returns the trace arrays and boolean masks (shape len(im) x len(re))."""
+    Returns the trace arrays and boolean masks (shape len(im) x len(re)).
+    tol_im must be finite and positive (ValueError)."""
+    _check_tolerances(tol_im=tol_im)
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
     ee = (re_values[None, :] + 1j * im_values[:, None]).ravel()

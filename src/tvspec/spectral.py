@@ -25,12 +25,21 @@ Two independent routes are implemented and cross-checked:
   the unique polynomial null vector with the normalization above is found
   by a single block least-squares solve, and Q is assembled by polynomial
   arithmetic in E at a generic point z0 (verified at an independent z1 and
-  a held-out E*).
+  a held-out E*).  Each of z0 and z1 costs one evaluator call, on the
+  shifted points z + w_k/2 of the active half periods, which gives the
+  basis values, their derivatives and V at once.  The solve guards (rank
+  ratio 1e-8, z0/z1 and held-out agreement 1e-9) and the root residual
+  factor (1e-8) are fixed constants.
 
 * `q_via_factorization` — products of Heun polynomial families P^(0..3)
   selected by the branch tables (even total multiplicity); odd totals go
   through an isospectral index transform that either reaches an even tuple
   or raises NotConstructibleError.  Never returns an unverified guess.
+
+`spectral_report` classifies the roots of the factors when the product
+form exists (root_source "factor_union", gap tolerance FACTOR_GAP_TOL =
+1e-10) and the roots of the coefficients otherwise (root_source
+"coefficients", gap tolerance tol_gap).
 """
 
 from __future__ import annotations
@@ -187,12 +196,6 @@ class _Series:
         powers = self.lo + np.arange(len(self.a))
         return _Series(self.lo - 1, powers * self.a)
 
-    def power(self, p: int) -> "_Series":
-        out = _Series(0, [1.0])
-        for _ in range(p):
-            out = out.mul(self)
-        return out
-
     def coeff(self, r: int) -> complex:
         i = r - self.lo
         if 0 <= i < len(self.a):
@@ -232,18 +235,18 @@ def _pencil(L: LatticeData, n):
     for i in range(4):
         if n[i] == 0:
             continue
-        # series of each basis function around w_i/2 (partner index i^k)
-        pw_cache = {}
-        for k in range(4):
-            if n[k] == 0:
-                continue
-            base = series[i ^ k]
-            pw_cache[k] = [None] + [base.power(p) for p in range(1, n[k] + 1)]
+        # series around w_i/2 (partner index i^k) of every power wp_k^p,
+        # p = 1..n_k, built cumulatively, and of the potential
+        powers = {}
         v_pot = None
         for k in range(4):
             if n[k] == 0:
                 continue
-            term = series[i ^ k].scaled(n[k] * (n[k] + 1))
+            base = series[i ^ k]
+            powers[k] = [base]
+            for _ in range(n[k] - 1):
+                powers[k].append(powers[k][-1].mul(base))
+            term = base.scaled(n[k] * (n[k] + 1))
             v_pot = term if v_pot is None else v_pot.add(term)
         v_pot_d = v_pot.deriv()
 
@@ -252,7 +255,7 @@ def _pencil(L: LatticeData, n):
             if kind == "c0":
                 F = _Series(0, [1.0])
             else:
-                F = pw_cache[k][n[k] - j]
+                F = powers[k][n[k] - j - 1]
             F1 = F.deriv()
             F3 = F1.deriv().deriv()
             G0 = F3.add(v_pot.mul(F1).scaled(-4.0)).add(v_pot_d.mul(F).scaled(-2.0))
@@ -277,38 +280,36 @@ def _potential(L: LatticeData, n, z):
     )
 
 
-def _basis_values(L: LatticeData, n, z: complex):
-    """Values and first two z-derivatives of each ansatz basis function."""
+def _local_values(L: LatticeData, n, z: complex):
+    """Each ansatz basis function (pencil column order) with its first two
+    z-derivatives, and V(z), from one evaluator call on the active shifted
+    points z + w_k/2."""
+    ks = [k for k in range(4) if n[k]]
+    _, p, pp = zeta_wp_wp_prime(z + np.array([L.half_periods[k] for k in ks]), L)
+    # Python complex scalars keep the arithmetic of a scalar evaluator call
+    p, pp = p.tolist(), pp.tolist()
     vals, d1, d2 = [1.0 + 0j], [0.0 + 0j], [0.0 + 0j]
-    hp = L.half_periods
-    for k in range(4):
-        if n[k] == 0:
-            continue
-        _, p, pp = zeta_wp_wp_prime(z + hp[k], L)
-        ps = 6.0 * p * p - L.g2 / 2.0
-        for j in range(n[k]):
-            w = n[k] - j
-            vals.append(p ** w)
-            d1.append(w * p ** (w - 1) * pp)
-            curv = w * p ** (w - 1) * ps
-            if w >= 2:
-                curv += w * (w - 1) * p ** (w - 2) * pp * pp
-            d2.append(curv)
-    return (
-        np.array(vals, dtype=complex),
-        np.array(d1, dtype=complex),
-        np.array(d2, dtype=complex),
-    )
+    for k, pk, ppk in zip(ks, p, pp):
+        psk = 6.0 * pk * pk - L.g2 / 2.0
+        for w in range(n[k], 0, -1):
+            vals.append(pk ** w)
+            d1.append(w * pk ** (w - 1) * ppk)
+            d2.append(w * pk ** (w - 1) * psk
+                      + w * (w - 1) * pk ** max(w - 2, 0) * ppk * ppk)
+    v = sum(n[k] * (n[k] + 1) * pk for k, pk in zip(ks, p))
+    return (np.array(vals, dtype=complex), np.array(d1, dtype=complex),
+            np.array(d2, dtype=complex), complex(v))
 
 
-def _assemble_q_at(L: LatticeData, n, vhat: np.ndarray, s: float, z: complex):
+def _assemble_q_at(local, vhat: np.ndarray, s: float):
     """Monic Q in E from the scaled polynomial null vector, by polynomial
-    arithmetic at the point z.  vhat[d] holds the Ehat^d coefficient."""
-    vals, d1, d2 = _basis_values(L, n, z)
+    arithmetic on the ``_local_values`` of one point.  vhat[d] holds the
+    Ehat^d coefficient."""
+    vals, d1, d2, v = local
     phi = vhat @ vals        # ascending polynomials in Ehat = E/s
     phi1 = vhat @ d1
     phi2 = vhat @ d2
-    p_i = np.array([_potential(L, n, z), s], dtype=complex)
+    p_i = np.array([v, s], dtype=complex)
     qhat = npp.polyadd(
         npp.polymul(p_i, npp.polymul(phi, phi)),
         npp.polysub(npp.polymul(phi1, phi1) / 4.0, npp.polymul(phi, phi2) / 2.0),
@@ -329,15 +330,14 @@ def _assemble_q_at(L: LatticeData, n, vhat: np.ndarray, s: float, z: complex):
     return ComplexPoly(tuple(coeffs / coeffs[-1]))
 
 
-def q_via_phi_ansatz(
-    L: LatticeData,
-    n,
-    z0: complex | None = None,
-    z1: complex | None = None,
-    rank_tol: float = 1e-8,
-    guard_tol: float = 1e-9,
-    details: bool = False,
-):
+# Fixed guards of the ansatz solve: the smallest/largest singular value
+# ratio below which the kernel is not one-dimensional, and the agreement
+# required of the two assembly points and of the held-out energy.
+_RANK_TOL = 1e-8
+_GUARD_TOL = 1e-9
+
+
+def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
     """Monic spectral polynomial via principal-part elimination.
 
     The conditions form the pencil A(E) = A0 + E*A1 with a one-dimensional
@@ -349,18 +349,16 @@ def q_via_phi_ansatz(
     iterative refinement (the system is tiny but its conditioning grows
     quickly with the genus).  Guards raise CheckError: block residual or
     smallest singular value out of bounds (kernel not one-dimensional),
-    mismatch between z0 and z1 assemblies, or failure at a held-out
-    energy.
+    mismatch between the assemblies at the points z0 and z1, or failure
+    at a held-out energy.
     """
     n = _as_tuple(n)
     g = genus_of(n)
     # anchor the evaluation points near the dominant pole so the leading
     # basis term dominates the quadratic form (avoids cancellation)
     anchor = -L.half_periods[max(range(4), key=lambda k: n[k])]
-    if z0 is None:
-        z0 = anchor + 0.27 + 0.31 * L.tau
-    if z1 is None:
-        z1 = anchor + 0.41 + 0.23 * L.tau
+    local0 = _local_values(L, n, anchor + 0.27 + 0.31 * L.tau)
+    local1 = _local_values(L, n, anchor + 0.41 + 0.23 * L.tau)
     A0, A1 = _pencil(L, n)
     emax = max(abs(e) for e in L.es)
     s = 1.0 + sum(nk * (nk + 1) for nk in n) * emax
@@ -388,7 +386,7 @@ def q_via_phi_ansatz(
     col_norm[col_norm == 0.0] = 1.0
     beq = big / col_norm
     sol_eq, _, _, sv = np.linalg.lstsq(beq, rhs, rcond=None)
-    if sv[-1] < rank_tol * sv[0]:
+    if sv[-1] < _RANK_TOL * sv[0]:
         raise CheckError(
             "principal-part kernel is not one-dimensional "
             f"(singular value ratio {sv[-1] / sv[0]:.2e})"
@@ -409,25 +407,25 @@ def q_via_phi_ansatz(
 
     vhat = np.vstack([sol.reshape(g, nunk), e_c0])
 
-    q0 = _assemble_q_at(L, n, vhat, s, z0)
-    q1 = _assemble_q_at(L, n, vhat, s, z1)
+    q0 = _assemble_q_at(local0, vhat, s)
+    q1 = _assemble_q_at(local1, vhat, s)
     zdist = coefficient_distance(q0, q1)
-    if zdist > guard_tol:
+    if zdist > _GUARD_TOL:
         raise CheckError(
-            f"z0/z1 assemblies disagree by {zdist:.2e} (> {guard_tol:g})"
+            f"z0/z1 assemblies disagree by {zdist:.2e} (> {_GUARD_TOL:g})"
         )
 
     # held-out energy: coefficients must reproduce the quadratic form
     ehat_star = 0.37
     e_star = s * ehat_star
-    vals, d1, d2 = _basis_values(L, n, z0)
+    vals, d1, d2, v = local0
     w = np.array([ehat_star ** d for d in range(g + 1)]) @ vhat
-    i_star = _potential(L, n, z0) + e_star
     phi_v, phi_d1, phi_d2 = w @ vals, w @ d1, w @ d2
-    q_direct = (i_star * phi_v ** 2 + phi_d1 ** 2 / 4.0 - phi_v * phi_d2 / 2.0)
+    q_direct = ((v + e_star) * phi_v ** 2 + phi_d1 ** 2 / 4.0
+                - phi_v * phi_d2 / 2.0)
     q_direct *= s ** (2.0 * g)
     holdout = abs(q0(e_star) - q_direct) / max(1.0, abs(q_direct))
-    if holdout > guard_tol:
+    if holdout > _GUARD_TOL:
         raise CheckError(f"held-out energy check failed ({holdout:.2e})")
 
     if details:
@@ -548,8 +546,22 @@ class RootReport:
     max_imag: float
 
 
-def _check_root_residuals(coeffs: np.ndarray, r: np.ndarray,
-                          resid_factor: float) -> float:
+# Root residuals must stay below this multiple of the Horner evaluation-
+# noise bound, and roots taken per factor (see spectral_report) count as
+# multiple only when closer than FACTOR_GAP_TOL * (1 + max |root|).
+_RESID_FACTOR = 1e-8
+FACTOR_GAP_TOL = 1e-10
+
+
+def _check_tolerances(**tols) -> None:
+    """ValueError unless every named tolerance is finite and positive (a
+    NaN or infinite tolerance passes or fails every comparison)."""
+    for name, value in tols.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_root_residuals(coeffs: np.ndarray, r: np.ndarray) -> float:
     """Guard |p(r)| against an evaluation-noise bound.
 
     The bound scales with sum_k |p_k| |r|^k (the Horner magnitude sum, the
@@ -557,19 +569,28 @@ def _check_root_residuals(coeffs: np.ndarray, r: np.ndarray,
     meaningful for small roots of large-coefficient polynomials."""
     res = residuals(coeffs, r)
     mags = np.abs(r)
-    horner = np.array(
-        [np.sum(np.abs(coeffs) * m ** np.arange(len(coeffs))) for m in mags]
-    )
-    bound = resid_factor * np.maximum((1.0 + mags) ** (len(coeffs) - 1),
-                                      horner)
+    horner = npp.polyval(mags, np.abs(coeffs))
+    bound = _RESID_FACTOR * np.maximum((1.0 + mags) ** (len(coeffs) - 1),
+                                       horner)
     if np.any(res > bound):
         worst = float(np.max(res / bound))
         raise CheckError(f"root residual exceeds bound by factor {worst:.2e}")
     return float(np.max(res))
 
 
-def _classify_root_array(r: np.ndarray, tol_im: float, tol_gap: float):
-    """Shared reality/simplicity labeling for a sorted root array."""
+def _root_report(polys, tol_im: float, tol_gap: float) -> RootReport:
+    """Residual-checked roots of every non-constant polynomial in
+    ``polys``, classified as one sorted set (the roots of their product)."""
+    parts = []
+    residual_max = 0.0
+    for p in polys:
+        if p.degree == 0:
+            continue
+        rp = p.roots()
+        residual_max = max(residual_max, _check_root_residuals(p.asarray(), rp))
+        parts.append(rp)
+    r = np.concatenate(parts)
+    r = r[np.lexsort((r.imag, r.real))]
     scale = 1.0 + float(np.max(np.abs(r)))
     max_imag = float(np.max(np.abs(r.imag)))
     if len(r) > 1:
@@ -583,14 +604,19 @@ def _classify_root_array(r: np.ndarray, tol_im: float, tol_gap: float):
         cls = "has_multiple"
     else:
         cls = "real_distinct"
-    return cls, min_gap, max_imag
+    return RootReport(
+        roots=tuple(r.tolist()),
+        classification=cls,
+        residual_max=residual_max,
+        min_gap=min_gap,
+        max_imag=max_imag,
+    )
 
 
 def roots_and_classify(
     q: ComplexPoly,
     tol_im: float = 1e-6,
     tol_gap: float = 1e-6,
-    resid_factor: float = 1e-8,
 ) -> RootReport:
     """All roots of Q with a reality/simplicity classification.
 
@@ -601,57 +627,10 @@ def roots_and_classify(
     square root of the coefficient error); root sets assembled from the
     factor family tolerate much tighter gaps, see spectral_report.
     Residuals are guarded against an evaluation-noise bound or CheckError
-    is raised.
+    is raised.  Both tolerances must be finite and positive (ValueError).
     """
-    r = q.roots()
-    order = np.lexsort((r.imag, r.real))
-    r = r[order]
-    residual_max = _check_root_residuals(q.asarray(), r, resid_factor)
-    cls, min_gap, max_imag = _classify_root_array(r, tol_im, tol_gap)
-    return RootReport(
-        roots=tuple(r.tolist()),
-        classification=cls,
-        residual_max=residual_max,
-        min_gap=min_gap,
-        max_imag=max_imag,
-    )
-
-
-def _root_report_from_factors(
-    factors,
-    tol_im: float,
-    tol_gap: float,
-    resid_factor: float = 1e-8,
-) -> RootReport:
-    """Classify the union of the factor-family roots.
-
-    Each factor is low degree and well conditioned, so its roots carry
-    near-machine accuracy and genuinely thin gaps between roots of
-    different factors survive where the expanded product would fold them
-    into one numerical cluster.  That justifies a far tighter gap
-    tolerance than the coefficient route supports."""
-    parts = []
-    residual_max = 0.0
-    for f in factors:
-        if f.degree == 0:
-            continue
-        rf = f.roots()
-        residual_max = max(
-            residual_max,
-            _check_root_residuals(f.asarray(), rf, resid_factor),
-        )
-        parts.append(rf)
-    r = np.concatenate(parts)
-    order = np.lexsort((r.imag, r.real))
-    r = r[order]
-    cls, min_gap, max_imag = _classify_root_array(r, tol_im, tol_gap)
-    return RootReport(
-        roots=tuple(r.tolist()),
-        classification=cls,
-        residual_max=residual_max,
-        min_gap=min_gap,
-        max_imag=max_imag,
-    )
+    _check_tolerances(tol_im=tol_im, tol_gap=tol_gap)
+    return _root_report([q], tol_im, tol_gap)
 
 
 @dataclass(frozen=True)
@@ -678,7 +657,6 @@ def spectral_report(
     tol_im: float = 1e-6,
     tol_gap: float = 1e-6,
     route_tol: float = 1e-8,
-    factor_gap_tol: float = 1e-10,
 ) -> SpectralReport:
     """Compute Q by the requested route(s), classify roots, and cross-check.
 
@@ -687,11 +665,15 @@ def spectral_report(
     not constructible (some odd totals) the report downgrades to "phi".
 
     Whenever the factor family is available its root union feeds the
-    classification (with the tighter factor_gap_tol, since per-factor
-    roots resolve thin gaps that the expanded coefficients cannot);
-    otherwise the roots come from the coefficients with tol_gap.
+    classification with the tighter FACTOR_GAP_TOL, since each factor is
+    low degree and well conditioned: its roots carry near-machine accuracy
+    and resolve thin gaps between roots of different factors that the
+    expanded coefficients fold into one cluster.  Otherwise the roots come
+    from the coefficients with tol_gap.  tol_im, tol_gap and route_tol
+    must be finite and positive (ValueError).
     """
     n = _as_tuple(n)
+    _check_tolerances(tol_im=tol_im, tol_gap=tol_gap, route_tol=route_tol)
     if route not in ("phi", "factor", "both"):
         raise ValueError(f"unknown route {route!r}")
     diagnostics = {}
@@ -726,11 +708,10 @@ def spectral_report(
                     )
 
     if factors is not None:
-        rr = _root_report_from_factors(factors, tol_im=tol_im,
-                                       tol_gap=factor_gap_tol)
+        rr = _root_report(factors, tol_im, FACTOR_GAP_TOL)
         diagnostics["root_source"] = "factor_union"
     else:
-        rr = roots_and_classify(q, tol_im=tol_im, tol_gap=tol_gap)
+        rr = _root_report([q], tol_im, tol_gap)
         diagnostics["root_source"] = "coefficients"
     return SpectralReport(
         n=n,
@@ -747,6 +728,7 @@ def spectral_report(
             "tol_im": tol_im,
             "tol_gap": tol_gap,
             "route_tol": route_tol,
+            "factor_gap_tol": FACTOR_GAP_TOL,
             "truncation_tol": TRUNCATION_TOL,
         },
     )
@@ -816,8 +798,10 @@ def tau_scan(
     and compare with the class forced by the condition tables: C1/C2 expect
     a complex pair at every b, NEITHER expects real distinct roots at
     every b.  Per-point numerical failures (TvspecError, ValueError) are
-    collected, not raised; any other exception propagates."""
+    collected, not raised; any other exception propagates.  Vacuous
+    tolerances raise ValueError before the first point."""
     n = _as_tuple(n)
+    _check_tolerances(tol_im=tol_im, tol_gap=tol_gap)
     cls = condition_class(n)
     expected = "has_complex" if cls in ("C1", "C2") else "real_distinct"
 

@@ -181,6 +181,60 @@ def test_premodular_refuses_vacuous_tolerances(capsys, argv):
     assert "must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["qpoly", "--n", "0,1,1,0", "--tau", "1i", "--tol-im", "nan"],
+    ["qpoly", "--n", "0,1,1,0", "--tau", "1i", "--tol-im", "0"],
+    ["qpoly", "--n", "2,0,0,0", "--tau", "1i", "--tol-gap", "inf"],
+    ["qpoly", "--n", "2,0,0,0", "--tau", "1i", "--tol-gap", "-1"],
+    ["qpoly", "--n", "2,0,0,0", "--tau", "1i", "--route-tol", "nan"],
+    ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3", "--tol-im", "nan"],
+    ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3", "--tol-gap", "0"],
+])
+def test_spectral_commands_refuse_vacuous_tolerances(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--n", "2,0,0,0", "--tau", "0.2+1i", "--E", "-10:5:31",
+     "--im-tol", "nan"],
+    ["bands", "--n", "1,0,0,0", "--tau", "1i", "--E", "-8:8:5",
+     "--rtol", "nan"],
+    ["bands", "--n", "1,0,0,0", "--tau", "1i", "--E", "-8:8:5",
+     "--atol", "0"],
+    ["unitary", "--n", "2,0,0,0", "--tau", "1i", "--re", "-6:6:5",
+     "--im", "-2:2:3", "--tol-im", "nan"],
+    ["unitary", "--n", "2,0,0,0", "--tau", "1i", "--re", "-6:6:5",
+     "--im", "-2:2:3", "--rtol", "-1"],
+])
+def test_hill_commands_refuse_vacuous_tolerances(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be finite and > 0" in err
+
+
+def test_qpoly_c1_tuple_on_the_axis_has_complex(capsys):
+    code, out, _ = run(capsys, "qpoly", "--n", "0,1,1,0", "--tau", "1i")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["condition_class"] == "C1"
+    assert doc["classification"] == "has_complex"
+
+
+def test_gap_tolerance_that_classified_is_reported(capsys, tmp_path):
+    code, out, _ = run(capsys, "qpoly", "--n", "2,0,0,0", "--tau", "1i")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["diagnostics"]["root_source"] == "factor_union"
+    assert doc["tolerances"]["factor_gap_tol"] == 1e-10
+    code, out, _ = run(capsys, "scan", "--n", "2,0,0,0", "--b", "0.8:1.2:3")
+    assert code == 0
+    assert json.loads(out)["tolerances"]["factor_gap_tol"] == 1e-10
+
+
 def test_bands_payload(capsys):
     code, out, _ = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",
                        "--E", "-8:8:161")

@@ -167,6 +167,20 @@ def test_stability_rejects_bad_edge_tol(tol):
                          edge_tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_hill_refuses_vacuous_tolerances(tol):
+    L = lattice(1j)
+    for name in ("rtol", "atol"):
+        with pytest.raises(ValueError, match=name):
+            make_problem(L, (1, 0, 0, 0), **{name: tol})
+    prob = problem(1j, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="im_tol"):
+        stability_set_1d(prob, -4.0, 4.0, num=21, im_tol=tol)
+    q, _ = _roots(1j, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="tol_im"):
+        unitarity_grid(prob, q, [0.0], [0.0], tol_im=tol)
+
+
 def test_stability_rejects_nonreal_trace():
     prob = problem(0.31 + 1.12j, (1, 0, 0, 0))
     with pytest.raises(CheckError):

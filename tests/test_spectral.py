@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvspec import spectral
+from tvspec.elliptic import wp, wp_prime
 from tvspec.errors import CheckError, NonConvergenceError, NotConstructibleError
 from tvspec.poly import ComplexPoly, coefficient_distance, match_roots
 from tvspec.spectral import (
@@ -173,6 +174,7 @@ def test_spectral_report_cross_checks():
     assert sum(d for d in rep.factor_degrees) == 5
     assert rep.root_report.classification == "real_distinct"
     assert rep.tolerances["route_tol"] == 1e-8
+    assert rep.tolerances["factor_gap_tol"] == 1e-10
     with pytest.raises(ValueError):
         spectral_report(L, (2, 0, 0, 0), route="nope")
 
@@ -250,3 +252,85 @@ def test_tau_scan_records_numerical_failures(monkeypatch):
     assert bad.classification is None and not bad.ok
     assert bad.error == "NonConvergenceError: budget exhausted"
     assert res.points[0].ok and res.points[2].ok
+
+
+@pytest.mark.parametrize("n", [(1, 0, 0, 0), (2, 1, 1, 0), (3, 0, 0, 0),
+                               (1, 1, 1, 1), (0, 0, 1, 4)])
+def test_phi_ansatz_evaluates_each_point_once(n, monkeypatch):
+    # one evaluator call on the shifted points at z0 and one at z1; the
+    # held-out energy reuses the values at z0
+    L = lattice(1.1j)
+    calls = []
+    real = spectral.zeta_wp_wp_prime
+
+    def counting(z, L):
+        calls.append(np.size(z))
+        return real(z, L)
+
+    monkeypatch.setattr(spectral, "zeta_wp_wp_prime", counting)
+    q_via_phi_ansatz(L, n)
+    active = sum(1 for nk in n if nk)
+    assert calls == [active, active]
+
+
+def test_local_values_match_per_point_evaluation():
+    # reference: one scalar evaluator call per active half period, as the
+    # basis values were built before they shared one array call
+    L = lattice(0.3 + 1.1j)
+    n = (2, 1, 0, 3)
+    z = 0.13 + 0.29j
+    vals, d1, d2, v = spectral._local_values(L, n, z)
+    ref = [(1.0, 0.0, 0.0)]
+    for k in range(4):
+        p, pp = wp(z + L.half_periods[k], L), wp_prime(z + L.half_periods[k], L)
+        for w in range(n[k], 0, -1):
+            ref.append((p ** w, w * p ** (w - 1) * pp,
+                        w * p ** (w - 1) * (6 * p * p - L.g2 / 2)
+                        + w * (w - 1) * p ** max(w - 2, 0) * pp * pp))
+    for got, want in zip((vals, d1, d2), np.array(ref).T):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert v == pytest.approx(spectral._potential(L, n, z), rel=1e-14)
+
+
+def test_held_out_check_catches_an_equal_error_at_both_points(monkeypatch):
+    # the same error in both assemblies passes the z0/z1 comparison; only
+    # the held-out energy, evaluated without assembling Q, can see it
+    real = spectral._assemble_q_at
+
+    def perturbed(*args, **kwargs):
+        q = real(*args, **kwargs)
+        return ComplexPoly(tuple(q.asarray() * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(spectral, "_assemble_q_at", perturbed)
+    with pytest.raises(CheckError, match="held-out"):
+        q_via_phi_ansatz(lattice(1j), (2, 1, 1, 0))
+
+
+VACUOUS = [0.0, -1e-6, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("tol", VACUOUS)
+def test_spectral_report_refuses_vacuous_tolerances(tol):
+    L = lattice(1j)
+    for name in ("tol_im", "tol_gap", "route_tol"):
+        with pytest.raises(ValueError, match=name):
+            spectral_report(L, (0, 1, 1, 0), **{name: tol})
+
+
+@pytest.mark.parametrize("tol", VACUOUS)
+def test_roots_and_classify_refuses_vacuous_tolerances(tol):
+    q = ComplexPoly((-6.0, 11.0, -6.0, 1.0))
+    for name in ("tol_im", "tol_gap"):
+        with pytest.raises(ValueError, match=name):
+            roots_and_classify(q, **{name: tol})
+
+
+@pytest.mark.parametrize("tol", VACUOUS)
+def test_tau_scan_refuses_vacuous_tolerances_before_scanning(tol, monkeypatch):
+    def no_lattice(tau):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(spectral, "make_lattice", no_lattice)
+    for name in ("tol_im", "tol_gap"):
+        with pytest.raises(ValueError, match=name):
+            tau_scan((1, 0, 0, 1), [0.8, 1.0], **{name: tol})
