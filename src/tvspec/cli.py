@@ -43,7 +43,7 @@ from .errors import (
     NotConstructibleError,
     PoleError,
 )
-from .hill import make_problem, stability_set_1d, unitarity_grid
+from .hill import ROOT_FACTOR, make_problem, stability_set_1d, unitarity_grid
 from .premodular import (
     WEIGHTS,
     boundary_nonvanishing_scan,
@@ -342,7 +342,7 @@ def cmd_unitary(args) -> int:
         },
         "tolerances": {
             "rtol": args.rtol, "atol": args.atol, "tol_im": args.tol_im,
-            "root_factor": 1e-4, "truncation_tol": TRUNCATION_TOL,
+            "root_factor": ROOT_FACTOR, "truncation_tol": TRUNCATION_TOL,
         },
         "points": int(total),
         "unitary_count": int(np.sum(res["unitary"])),
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="form index 1..4")
     p.add_argument("--rs", default=None, help="r,s")
     p.add_argument("--tau", default=None,
-                   help="evaluation point, or Newton seed for zero-find")
+                   help="evaluation point, or seed for zero-find")
     p.add_argument("--floor", type=float, default=1e-8)
     p.add_argument("--newton-tol", type=float, default=1e-10,
                    dest="newton_tol")

@@ -66,6 +66,7 @@ __all__ = [
     "developing_map_periodicity",
     "delta_circle_mean",
     "at_root",
+    "ROOT_FACTOR",
 ]
 
 # ── potential along a loop ────────────────────────────────────────────────
@@ -539,9 +540,21 @@ def dual_torus_exclusion(
 
 # ── unitarity of the monodromy representation ─────────────────────────────
 
-def at_root(qpoly: ComplexPoly, e, factor: float = 1e-4) -> bool:
-    """Whether |Q(E)| is small enough to count E as a branch point."""
-    return abs(qpoly(complex(e))) <= factor * (1.0 + abs(e)) ** qpoly.degree
+ROOT_FACTOR = 1e-4   # E is a branch point when |Q(E)| <= this * (1 + |E|)^deg
+
+
+def at_root(qpoly: ComplexPoly, e):
+    """Whether |Q(E)| is small enough to count E as a branch point
+    (elementwise on arrays)."""
+    e = np.asarray(e, dtype=complex)
+    return np.abs(qpoly(e)) <= ROOT_FACTOR * (1.0 + np.abs(e)) ** qpoly.degree
+
+
+def _trace_unitary(delta, tol_im: float):
+    """Whether a trace is real and in [-2, 2] within tol_im (elementwise)."""
+    return (np.abs(delta.imag) <= tol_im * (1.0 + np.abs(delta))) & (
+        np.abs(delta.real) <= 2.0 + tol_im
+    )
 
 
 @dataclass(frozen=True)
@@ -565,15 +578,9 @@ def unitarity_probe(
     excluded via ``qpoly``."""
     chk = commutator_check(prob, e)
     r1, r2 = chk["records"]
-    root_flag = at_root(qpoly, e)
-
-    def good(delta):
-        return (
-            abs(delta.imag) <= tol_im * (1.0 + abs(delta))
-            and abs(delta.real) <= 2.0 + tol_im
-        )
-
-    unit = good(r1.delta) and good(r2.delta) and not root_flag
+    root_flag = bool(at_root(qpoly, e))
+    unit = bool(_trace_unitary(r1.delta, tol_im)
+                and _trace_unitary(r2.delta, tol_im) and not root_flag)
     return UnitarityRecord(
         E=complex(e),
         delta1=r1.delta,
@@ -603,15 +610,8 @@ def unitarity_grid(
     shape = (len(im_values), len(re_values))
     d1 = d1.reshape(shape)
     d2 = d2.reshape(shape)
-    qv = np.abs(qpoly(ee.reshape(shape)))
-    rootmask = qv <= 1e-4 * (1.0 + np.abs(ee.reshape(shape))) ** qpoly.degree
-
-    def good(d):
-        return (np.abs(d.imag) <= tol_im * (1.0 + np.abs(d))) & (
-            np.abs(d.real) <= 2.0 + tol_im
-        )
-
-    unitary = good(d1) & good(d2) & ~rootmask
+    rootmask = at_root(qpoly, ee.reshape(shape))
+    unitary = _trace_unitary(d1, tol_im) & _trace_unitary(d2, tol_im) & ~rootmask
     return {
         "re_values": re_values,
         "im_values": im_values,

@@ -15,15 +15,14 @@ boundary of the fundamental domain
     F0 = {tau : 0 <= Re tau <= 1, |tau - 1/2| >= 1/2, Im tau > 0}.
 
 The module provides the evaluations, the F0 classifier, grid scans of
-|z_n| over the three boundary pieces, Newton zero finding in tau (with
-multi-start), and the two generating transformation identities
+|z_n| over the three boundary pieces, secant zero finding in tau (with
+multi-start), and the one transformation law: for gamma = ((a, b), (c, d))
+in SL2(Z) and w = n(n+1)/2,
 
-    Z^(n)_{r,s}(tau)                 = Z^(n)_{r+s,s}(tau - 1),
-    (1-tau)^w Z^(n)_{r,s}(tau)       = Z^(n)_{r,r+s}(tau/(1-tau)),
+    Z^(n)_{ar-bs, -cr+ds}(gamma tau) = (c*tau + d)^w Z^(n)_{r,s}(tau).
 
-with w = n(n+1)/2.  Translation signs of (r,s) by integers are not fixed
-a priori; ``empirical_signs`` measures them, and scans compare absolute
-values only.
+The quasi-periods make z_n exactly periodic in r and in s, so -I gives
+the reflection sign (-1)^w and the translations of (r, s) carry none.
 """
 
 from __future__ import annotations
@@ -43,10 +42,7 @@ __all__ = [
     "z_n",
     "classify_f0",
     "is_half_torsion",
-    "empirical_signs",
-    "t_shift_identity",
-    "s_weight_identity",
-    "gamma_weight_check",
+    "modular_identity",
     "rs_grid_default",
     "boundary_tau_samples",
     "boundary_nonvanishing_scan",
@@ -168,66 +164,18 @@ def z_n(L: LatticeData, r: float, s: float, n: int):
     raise ValueError("n must be 1, 2, 3 or 4")
 
 
-def empirical_signs(L: LatticeData, r: float, s: float, n: int) -> dict:
-    """Measured signs of the integer translations and the reflection.
+# ── transformation law ────────────────────────────────────────────────────
 
-    The translation identities hold up to a sign that is not pinned per
-    (n, shift); this returns the realized ratios (each should be +-1 to
-    numerical accuracy) so callers can assert |ratio| = 1 and record the
-    sign."""
-    base = z_n(L, r, s, n)
-    out = {}
-    for name, (rr, ss) in {
-        "r_shift": (r + 1.0, s),
-        "s_shift": (r, s + 1.0),
-        "reflection": (-r, -s),
-    }.items():
-        val = z_n(L, rr, ss, n)
-        out[name] = complex(val / base)
-    out["expected_reflection"] = float((-1.0) ** WEIGHTS[n])
-    return out
-
-
-# ── transformation identities ─────────────────────────────────────────────
-
-def t_shift_identity(n: int, r: float, s: float, tau: complex) -> dict:
-    """Z^(n)_{r,s}(tau) = Z^(n)_{r+s,s}(tau - 1); returns both sides."""
-    lhs = z_n(make_lattice(tau), r, s, n)
-    rhs = z_n(make_lattice(tau - 1.0), r + s, s, n)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return {"lhs": lhs, "rhs": rhs, "relative_error": abs(lhs - rhs) / scale}
-
-
-def s_weight_identity(n: int, r: float, s: float, tau: complex) -> dict:
-    """(1-tau)^w Z^(n)_{r,s}(tau) = Z^(n)_{r,r+s}(tau/(1-tau)), w = n(n+1)/2."""
-    w = WEIGHTS[n]
-    lhs = (1.0 - tau) ** w * z_n(make_lattice(tau), r, s, n)
-    tau2 = tau / (1.0 - tau)
-    rhs = z_n(make_lattice(tau2), r, r + s, n)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return {"lhs": lhs, "rhs": rhs, "relative_error": abs(lhs - rhs) / scale}
-
-
-def gamma_weight_check(
-    n: int,
-    r: float,
-    s: float,
-    tau: complex,
-    gamma=((1, 0), (5, 1)),
-) -> dict:
-    """Modular weight test: for gamma in the principal congruence group
-    fixing the torsion class of (r, s),
-
-        Z^(n)_{r,s}(gamma t) = (c*t + d)^w Z^(n)_{r,s}(t).
-
-    Defaults: gamma = [[1,0],[5,1]] and (r, s) a 5-torsion pair."""
+def modular_identity(n: int, r: float, s: float, tau: complex, gamma) -> dict:
+    """Both sides of Z^(n)_{ar-bs, -cr+ds}(gamma tau) = (c*tau + d)^w
+    Z^(n)_{r,s}(tau) for gamma = ((a, b), (c, d)), w = n(n+1)/2.  Raises
+    ValueError unless gamma has determinant 1."""
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise ValueError("gamma must have determinant 1")
-    w = WEIGHTS[n]
     t2 = (a * tau + b) / (c * tau + d)
-    lhs = z_n(make_lattice(t2), r, s, n)
-    rhs = (c * tau + d) ** w * z_n(make_lattice(tau), r, s, n)
+    lhs = z_n(make_lattice(t2), a * r - b * s, -c * r + d * s, n)
+    rhs = (c * tau + d) ** WEIGHTS[n] * z_n(make_lattice(tau), r, s, n)
     scale = max(1.0, abs(lhs), abs(rhs))
     return {"lhs": lhs, "rhs": rhs, "relative_error": abs(lhs - rhs) / scale}
 
@@ -278,7 +226,8 @@ def boundary_nonvanishing_scan(
     index, grid index) order; a NaN value fails the verdict.
     ``collect=True`` additionally returns every sampled value as rows
     (r, s, tau, abs) in that order.  Raises ValueError unless floor is
-    finite and positive: a floor <= 0 passes any values."""
+    finite and positive (a floor <= 0 passes any values) and both grids
+    are non-empty."""
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError(f"floor must be finite and > 0, got {floor}")
     if rs_grid is None:
@@ -287,6 +236,9 @@ def boundary_nonvanishing_scan(
         tau_grid = boundary_tau_samples()
     rs = np.array([(float(r), float(s)) for r, s in rs_grid]).reshape(-1, 2)
     taus = [complex(t) for t in np.ravel(tau_grid)]
+    for name, grid in (("rs_grid", rs), ("tau_grid", taus)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} must not be empty")
     r, s = rs[:, 0], rs[:, 1]
     vals = np.array([np.abs(z_n(make_lattice(tau), r, s, n)) for tau in taus])
     it, ig = np.unravel_index(np.argmin(vals), vals.shape)
@@ -311,21 +263,24 @@ def boundary_nonvanishing_scan(
 
 # ── zero finding ──────────────────────────────────────────────────────────
 
+_FIRST_CHORD = 1e-6   # the first secant runs from the seed to seed + this
+_MAX_ITER = 60
+
+
 def zero_find(
     n: int,
     r: float,
     s: float,
     seed_tau: complex,
-    h: float = 1e-6,
     tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> dict:
-    """Newton iteration on tau for Z^(n)_{r,s}(tau) = 0 with a central
-    difference derivative.  Converged means |Z| < tol and |step| < tol;
-    divergence and half-plane exits raise NonConvergenceError.  The
-    returned F0 location tells whether the zero counts (interior) or not.
-    Raises ValueError unless tol is finite and positive (no start could
-    converge otherwise)."""
+    """Secant iteration on tau for Z^(n)_{r,s}(tau) = 0: the slope is that
+    of the chord through the previous iterate (the first chord ends at
+    seed + 1e-6), so each step builds one lattice.  Converged means
+    |Z| < tol and |step| < tol; divergence and half-plane exits raise
+    NonConvergenceError.  The returned F0 location tells whether the zero
+    counts (interior) or not.  Raises ValueError unless tol is finite and
+    positive (no start could converge otherwise)."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
@@ -336,7 +291,7 @@ def zero_find(
     if t.imag <= 0:
         raise ValueError("seed must lie in the upper half plane")
     last_step = np.inf
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if t.imag < 0.02:
             raise NonConvergenceError(
                 f"iteration left the usable half plane at {t:.6g}"
@@ -352,16 +307,20 @@ def zero_find(
                 "converged": True,
                 "iterations": it,
             }
-        der = (f(t + h) - f(t - h)) / (2.0 * h)
+        if it == 0:
+            t_prev = t + _FIRST_CHORD
+            val_prev = f(t_prev)
+        der = (val - val_prev) / (t - t_prev)
         if abs(der) < 1e-14 * (1.0 + abs(val)):
-            raise NonConvergenceError("derivative underflow in Newton step")
+            raise NonConvergenceError("derivative underflow in secant step")
         step = -val / der
         if abs(step) > 0.5:
             step *= 0.5 / abs(step)
+        t_prev, val_prev = t, val
         t += step
         last_step = abs(step)
     raise NonConvergenceError(
-        f"no zero within {max_iter} iterations from seed {seed_tau:.4g} "
+        f"no zero within {_MAX_ITER} iterations from seed {seed_tau:.4g} "
         f"(last |Z| = {abs(val):.3g})"
     )
 
@@ -371,7 +330,7 @@ def zero_find_multi(
     r: float,
     s: float,
     seeds=None,
-    **kwargs,
+    tol: float = 1e-10,
 ) -> dict:
     """Run zero_find from a lattice of seeds inside F0 and collect the
     distinct interior zeros (deduplicated at 1e-6).  Used to claim absence:
@@ -387,7 +346,7 @@ def zero_find_multi(
     runs = []
     for seed in seeds:
         try:
-            res = zero_find(n, r, s, seed, **kwargs)
+            res = zero_find(n, r, s, seed, tol=tol)
         except NonConvergenceError as exc:
             runs.append({"seed": complex(seed), "converged": False,
                          "error": str(exc)})

@@ -21,8 +21,7 @@ from tvspec.hill import (
 from tvspec.poly import coefficient_distance, match_roots
 from tvspec.premodular import (
     boundary_nonvanishing_scan,
-    s_weight_identity,
-    t_shift_identity,
+    modular_identity,
     zero_find,
     zero_find_multi,
 )
@@ -274,8 +273,9 @@ def test_13_translation_and_inversion_transformation_laws():
     for _ in range(20):
         r, s = rng.uniform(0.05, 0.95, size=2)
         tau = complex(rng.uniform(-0.4, 0.9), rng.uniform(0.6, 1.8))
-        worst = max(worst, t_shift_identity(2, r, s, tau)["relative_error"],
-                    s_weight_identity(2, r, s, tau)["relative_error"])
+        for gamma in (((1, -1), (0, 1)), ((1, 0), (-1, 1))):
+            worst = max(worst, modular_identity(2, r, s, tau,
+                                                gamma)["relative_error"])
     _report(13, "weight-3 transformation laws at 20 random samples",
             worst < 1e-8, f"max relative error {worst:.2e}")
 

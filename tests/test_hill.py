@@ -223,6 +223,19 @@ def test_unitarity_grid_shapes_and_negative_result():
     assert not np.any(res["unitary"])
 
 
+def test_unitarity_grid_agrees_with_the_probe():
+    q, roots = _roots(1j, (1, 0, 0, 0))
+    prob = problem(1j, (1, 0, 0, 0))
+    re_values = [float(roots[1].real), 3.0]
+    res = unitarity_grid(prob, q, re_values, [0.0])
+    assert np.array_equal(res["at_root"], at_root(q, np.array([re_values])))
+    for i, e in enumerate(re_values):
+        rec = unitarity_probe(prob, e, q)
+        assert rec.at_root == res["at_root"][0, i]
+        assert rec.unitary == res["unitary"][0, i]
+    assert res["at_root"][0, 0] and not res["at_root"][0, 1]
+
+
 def test_developing_map_refusals():
     q, roots = _roots(1j, (1, 0, 0, 0))
     prob = problem(1j, (1, 0, 0, 0))

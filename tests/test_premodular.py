@@ -10,12 +10,9 @@ from tvspec.premodular import (
     boundary_nonvanishing_scan,
     boundary_tau_samples,
     classify_f0,
-    empirical_signs,
-    gamma_weight_check,
     is_half_torsion,
+    modular_identity,
     rs_grid_default,
-    s_weight_identity,
-    t_shift_identity,
     z_n,
     z_rs,
     zero_find,
@@ -83,31 +80,52 @@ def test_fundamental_domain_classification(tau, loc):
     assert pt.on_boundary == loc.startswith("boundary")
 
 
+T_SHIFT = ((1, -1), (0, 1))      # tau -> tau - 1
+S_WEIGHT = ((1, 0), (-1, 1))     # tau -> tau / (1 - tau)
+MINUS_I = ((-1, 0), (0, -1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_translation_and_inversion_identities(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(6):
         r, s = rng.uniform(0.05, 0.95, size=2)
         tau = complex(rng.uniform(-0.4, 0.9), rng.uniform(0.6, 1.8))
-        assert t_shift_identity(n, r, s, tau)["relative_error"] < 1e-8
-        assert s_weight_identity(n, r, s, tau)["relative_error"] < 1e-8
+        assert modular_identity(n, r, s, tau, T_SHIFT)["relative_error"] < 1e-8
+        assert modular_identity(n, r, s, tau, S_WEIGHT)["relative_error"] < 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_congruence_weight_transformation(n):
-    # the default gamma fixes (r, s) mod 1 exactly when 5r is an integer
-    for r, s, tau in ((0.2, 0.3, -0.18 + 0.9j), (0.4, 0.15, 0.1 + 1.2j)):
-        assert gamma_weight_check(n, r, s, tau)["relative_error"] < 1e-7
+    # 5r is an integer at the first two points, so gamma fixes (r, s) mod
+    # 1 there; the law holds at the generic third point as well
+    gamma = ((1, 0), (5, 1))
+    for r, s, tau in ((0.2, 0.3, -0.18 + 0.9j), (0.4, 0.15, 0.1 + 1.2j),
+                      (0.23, 0.36, 0.31 + 1.12j)):
+        assert modular_identity(n, r, s, tau, gamma)["relative_error"] < 1e-7
     with pytest.raises(ValueError):
-        gamma_weight_check(1, 0.3, 0.2, 1j, gamma=((1, 1), (1, 1)))
+        modular_identity(1, 0.3, 0.2, 1j, ((1, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_translation_signs(n):
-    out = empirical_signs(lattice(0.31 + 1.12j), 0.23, 0.36, n)
-    for key in ("r_shift", "s_shift", "reflection"):
-        assert abs(abs(out[key]) - 1.0) < 1e-9
-    assert abs(out["reflection"] - out["expected_reflection"]) < 1e-9
+    # the quasi-periods absorb integer shifts of (r, s), so translations
+    # carry no sign; -I gives the reflection sign (-1)^w
+    L = lattice(0.31 + 1.12j)
+    base = z_n(L, 0.23, 0.36, n)
+    for dr, ds in ((1.0, 0.0), (0.0, 1.0), (-2.0, 3.0)):
+        assert abs(z_n(L, 0.23 + dr, 0.36 + ds, n) - base) <= 1e-9 * abs(base)
+    out = modular_identity(n, 0.23, 0.36, 0.31 + 1.12j, MINUS_I)
+    assert out["relative_error"] < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("gamma", [((0, -1), (1, 0)), ((2, 1), (1, 1)),
+                                   MINUS_I])
+def test_modular_identity_across_sl2z(n, gamma):
+    for r, s, tau in ((0.23, 0.36, 0.31 + 1.12j), (0.7, 0.15, -0.2 + 0.9j),
+                      (0.41, 0.83, 0.1 + 1.3j)):
+        assert modular_identity(n, r, s, tau, gamma)["relative_error"] < 1e-9
 
 
 def test_zero_find_interior_zeros():
@@ -121,6 +139,21 @@ def test_zero_find_interior_zeros():
     res = zero_find(2, 0.15, 0.15, 0.7 + 0.7j)
     assert res["residual"] < 1e-10
     assert abs(res["tau_zero"] - (0.6893 + 0.7245j)) < 5e-3
+
+
+def test_zero_find_builds_one_lattice_per_step(monkeypatch):
+    calls = []
+
+    def counting(tau):
+        calls.append(tau)
+        return lattice(tau)
+
+    monkeypatch.setattr(premodular, "make_lattice", counting)
+    for args in ((1, 0.3, 0.3, 0.55 + 0.85j), (2, 0.15, 0.15, 0.7 + 0.7j)):
+        calls.clear()
+        res = zero_find(*args)
+        # one value per iterate and one more for the first chord
+        assert len(calls) == res["iterations"] + 2
 
 
 def test_zero_find_failure_modes():
@@ -270,8 +303,10 @@ def test_boundary_scan_rejects_lattice_points_and_empty_grids():
     with pytest.raises(PoleError):
         boundary_nonvanishing_scan(2, rs_grid=[(0.3, 0.3), (1.0, 0.0)],
                                    tau_grid=[1j, 1.5j])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rs_grid must not be empty"):
         boundary_nonvanishing_scan(2, rs_grid=[], tau_grid=[1j])
+    with pytest.raises(ValueError, match="tau_grid must not be empty"):
+        boundary_nonvanishing_scan(2, rs_grid=[(0.3, 0.3)], tau_grid=[])
 
 
 def test_sample_generators():

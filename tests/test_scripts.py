@@ -33,6 +33,7 @@ def test_script_runs(capsys, name, argv, first):
 @pytest.mark.parametrize("argv,message", [
     (["--tau-count", "1"], "count must be >= 3"),
     (["--floor", "-1"], "floor must be finite and > 0"),
+    (["--rs", "0", "5"], "rs_grid must not be empty"),
 ])
 def test_boundary_script_rejects_bad_input(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
