@@ -18,12 +18,15 @@ entire in E.  On top of the raw integrator this module provides:
 * a circle-mean check that Delta satisfies the analytic mean value
   property in E.
 
-Integration is a fixed-node 4th-order Magnus method: V is sampled once
-per loop at the two Gauss nodes of every step, straight from the theta
-kernel, each step is the closed-form exponential of a traceless 2x2
-matrix, and the ordered product is reduced pairwise in blocks, for a
-batch of energies at once.  The step count starts at 2048 and doubles
-until the step-doubling estimate max |M_N - M_(N/2)| / 15 meets
+Integration is a fixed-node 4th-order Magnus method: V is sampled at the
+two Gauss nodes of every step, straight from the theta kernel, each step
+is the closed-form exponential of a traceless 2x2 matrix, and the ordered
+product is reduced pairwise in blocks, for a batch of energies at once.
+V does not depend on E, so each loop keeps its samples per interval end
+and step count (t_end, steps) and every later trace on the problem
+reuses them: a band-edge refinement samples each node set once, not once
+per halving.  The step count starts at 2048 and doubles until the
+step-doubling estimate max |M_N - M_(N/2)| / 15 meets
 atol + rtol max |M_N| at every energy of the batch, so the energies of a
 batch share one step count (batch results agree with one-at-a-time
 integration within the tolerances; all quantities compared against them
@@ -107,7 +110,8 @@ def _check_clearance(L: LatticeData, n, z0, omega):
 class PathPotential:
     """V along z0 + t*omega, evaluated straight from the theta kernel for
     an array of t.  The loop t in [0, 1] must stay _MIN_CLEARANCE away
-    from every pole."""
+    from every pole.  ``nodes`` keeps the Magnus node samples per
+    (t_end, steps) on the instance."""
 
     def __init__(self, L: LatticeData, n, z0: complex, omega: complex):
         self.L = L
@@ -115,10 +119,25 @@ class PathPotential:
         self.z0 = complex(z0)
         self.omega = complex(omega)
         self.clearance = _check_clearance(L, self.n, self.z0, self.omega)
+        self._nodes = {}
 
     def __call__(self, t):
         z = self.z0 + np.asarray(t, dtype=float) * self.omega
         return _potential(self.L, self.n, z)
+
+    def nodes(self, t_end: float, steps: int):
+        """(V1, V2): V at the Gauss nodes t_j -+ (sqrt(3)/6) h of the
+        ``steps`` equal steps h = t_end / steps, one call per node set on
+        first use; later calls return the same read-only arrays."""
+        key = (t_end, steps)
+        if key not in self._nodes:
+            h = t_end / steps
+            mid = (np.arange(steps) + 0.5) * h
+            samples = (self(mid - _GAUSS * h), self(mid + _GAUSS * h))
+            for v in samples:
+                v.flags.writeable = False
+            self._nodes[key] = samples
+        return self._nodes[key]
 
 
 @dataclass
@@ -199,15 +218,12 @@ def _mul(p, q):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _magnus_product(vfun, omega, e, t_end, steps):
-    """Ordered product of ``steps`` equal Magnus steps over [0, t_end] for
-    each energy of the 1-d array ``e``, shape (len(e), 2, 2); None when
-    some |mu^2| exceeds _MU2_MAX."""
-    h = t_end / steps
-    mid = (np.arange(steps) + 0.5) * h
-    v1 = vfun(mid - _GAUSS * h)   # one call per node set
-    v2 = vfun(mid + _GAUSS * h)
-    hw = h * omega
+def _magnus_product(pot: PathPotential, e, t_end, steps):
+    """Ordered product of ``steps`` equal Magnus steps along ``pot`` over
+    [0, t_end] for each energy of the 1-d array ``e``, shape
+    (len(e), 2, 2); None when some |mu^2| exceeds _MU2_MAX."""
+    v1, v2 = pot.nodes(t_end, steps)
+    hw = (t_end / steps) * pot.omega
     c = (math.sqrt(3.0) / 12.0) * hw * hw * (v1 - v2)
     c2 = c * c
     hwv = hw * (0.5 * (v1 + v2))
@@ -238,16 +254,16 @@ def _magnus_product(vfun, omega, e, t_end, steps):
     return out
 
 
-def _transfer_batch(vfun, omega, e_values, t_end, rtol, atol):
-    """Fundamental matrices Y(t_end) with Y(0)=I for a batch of energies;
-    state rows are (y, dy/dz).  The step count N doubles from
+def _transfer_batch(pot: PathPotential, e_values, t_end, rtol, atol):
+    """Fundamental matrices Y(t_end) with Y(0)=I along ``pot`` for a batch
+    of energies; state rows are (y, dy/dz).  The step count N doubles from
     _STEPS_START until every energy has
     max_ij |M_N - M_(N/2)| / 15 <= atol + rtol max_ij |M_N|."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
     steps = _STEPS_START
-    coarse = _magnus_product(vfun, omega, e, t_end, steps // 2)
+    coarse = _magnus_product(pot, e, t_end, steps // 2)
     while steps <= _STEPS_MAX:
-        fine = _magnus_product(vfun, omega, e, t_end, steps)
+        fine = _magnus_product(pot, e, t_end, steps)
         if coarse is not None and fine is not None:
             est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 15.0
             scale = np.max(np.abs(fine), axis=(1, 2))
@@ -280,7 +296,7 @@ def _checked_batch(prob: GLEProblem, e_values, direction: str):
     if not np.all(np.isfinite(e)):
         raise ValueError("energies must be finite")
     pot = prob.potentials[direction]
-    ms = _transfer_batch(pot, pot.omega, e, 1.0, prob.rtol, prob.atol)
+    ms = _transfer_batch(pot, e, 1.0, prob.rtol, prob.atol)
     dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
     det_errors = np.abs(dets - 1.0)
     # det = 1 is exact; the attainable accuracy degrades with the square of
@@ -394,6 +410,9 @@ class BandStructure:
         return tuple(sorted(out))
 
 
+_EDGE_HALVINGS = 200     # bisection budget per stability_set_1d call
+
+
 def stability_set_1d(
     prob: GLEProblem,
     e_min: float,
@@ -415,7 +434,10 @@ def stability_set_1d(
     roles, not from re-sampled signs, so an edge that sits on a grid point
     (trace equal to +-2 within integrator noise) still converges to that
     point instead of drifting across the cell.  edge_tol and im_tol must
-    be finite and positive (ValueError)."""
+    be finite and positive (ValueError).  A bracket that cannot reach
+    edge_tol raises NonConvergenceError with the width it reached: at once
+    when its midpoint rounds to one of its ends (edge_tol below the float
+    spacing at the edge), or when the 200 halvings run out."""
     _check_tolerances(edge_tol=edge_tol, im_tol=im_tol)
     if not (math.isfinite(e_min) and math.isfinite(e_max) and e_min < e_max):
         raise ValueError(
@@ -435,11 +457,23 @@ def stability_set_1d(
     left_in = inside[flips]
     e_in = np.where(left_in, grid[flips], grid[flips + 1])
     e_out = np.where(left_in, grid[flips + 1], grid[flips])
-    for _ in range(200):
+    for halvings in range(_EDGE_HALVINGS + 1):
         act = np.flatnonzero(np.abs(e_in - e_out) > edge_tol)
         if act.size == 0:
             break
+        width = np.abs(e_in[act] - e_out[act])
+        if halvings == _EDGE_HALVINGS:
+            raise NonConvergenceError(
+                f"band-edge bracket still {np.max(width):.3g} wide after "
+                f"{_EDGE_HALVINGS} halvings, above edge_tol={edge_tol:g}"
+            )
         mid = 0.5 * (e_out[act] + e_in[act])
+        stalled = (mid == e_in[act]) | (mid == e_out[act])
+        if np.any(stalled):
+            raise NonConvergenceError(
+                f"band-edge bracket stalled at {np.max(width[stalled]):.3g} "
+                f"wide (adjacent floats), above edge_tol={edge_tol:g}"
+            )
         hit = np.abs(trace_on_grid(prob, mid, direction).real) <= 2.0
         e_in[act[hit]] = mid[hit]
         e_out[act[~hit]] = mid[~hit]
@@ -664,10 +698,10 @@ def developing_map_periodicity(
     worst1 = 0.0
     worst_tau = 0.0
     for s in samples:
-        y_s = _transfer_batch(pot1, 1.0, ee, s, rt, at)[0]
-        y_s1 = _transfer_batch(pot1, 1.0, ee, 1.0 + s, rt, at)[0]
+        y_s = _transfer_batch(pot1, ee, s, rt, at)[0]
+        y_s1 = _transfer_batch(pot1, ee, 1.0 + s, rt, at)[0]
         bent = PathPotential(L, n, z_b + s, L.tau)
-        t_s = _transfer_batch(bent, L.tau, ee, 1.0, rt, at)[0]
+        t_s = _transfer_batch(bent, ee, 1.0, rt, at)[0]
 
         u = y_s @ v          # columns: Floquet states at z_b + s
         u1 = y_s1 @ v        # at z_b + s + 1

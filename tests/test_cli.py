@@ -271,6 +271,14 @@ def test_bands_rejects_zero_edge_tol(capsys):
     assert "edge_tol" in err
 
 
+def test_bands_unreachable_edge_tol_is_nonconvergence(capsys):
+    code, out, err = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",
+                         "--E", "-8:8:161", "--edge-tol", "1e-20")
+    assert code == 3
+    assert out == ""
+    assert "edge_tol=1e-20" in err
+
+
 @pytest.mark.parametrize("grid", ["10:-10:201", "1:1:5"])
 def test_bands_rejects_empty_or_reversed_window(capsys, grid):
     code, out, err = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from tvspec import hill
 from tvspec.elliptic import wp
-from tvspec.errors import CheckError, PoleError
+from tvspec.errors import CheckError, NonConvergenceError, PoleError
 from tvspec.hill import (
     PathPotential,
     _transfer_batch,
@@ -121,14 +122,91 @@ def test_edges_are_bisected_together(monkeypatch):
         assert calls == [1201] + [edges] * halvings
 
 
+def test_stalled_bracket_raises(monkeypatch):
+    # the +-6.875 brackets stop shrinking at one ulp (~9e-16): an edge_tol
+    # of 1e-20 is refused there instead of spending the halving budget
+    calls = []
+    real = hill.trace_on_grid
+
+    def counting(prob, e_values, direction="1"):
+        calls.append(len(np.atleast_1d(e_values)))
+        return real(prob, e_values, direction)
+
+    monkeypatch.setattr(hill, "trace_on_grid", counting)
+    with pytest.raises(NonConvergenceError, match="stalled.*edge_tol=1e-20"):
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), -8.0, 8.0, num=161,
+                         edge_tol=1e-20)
+    assert len(calls) < 60
+
+
+def test_exhausted_halving_budget_raises(monkeypatch):
+    # a synthetic trace, 0 for E <= 0 and 3 beyond, puts an edge exactly at
+    # the grid point 0, so the bracket (0, 1) halves toward 0 without
+    # stalling; 200 halvings leave it 2^-200 ~ 6e-61 wide, above edge_tol
+    calls = []
+
+    def synthetic(prob, e_values, direction="1"):
+        calls.append(len(np.atleast_1d(e_values)))
+        return np.where(np.real(e_values) > 0.0, 3.0 + 0j, 0j)
+
+    monkeypatch.setattr(hill, "trace_on_grid", synthetic)
+    with pytest.raises(NonConvergenceError, match="after 200 halvings"):
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), -1.0, 1.0, num=3,
+                         edge_tol=1e-320)
+    assert calls == [3] + [1] * 200
+
+
+def test_each_node_set_is_sampled_once(monkeypatch):
+    # V does not depend on E: the grid pass and every halving share the
+    # node samples of the two step counts 1024 and 2048
+    calls = []
+    real = PathPotential.__call__
+
+    def counting(self, t):
+        calls.append(len(t))
+        return real(self, t)
+
+    prob = make_problem(lattice(1j), (1, 0, 0, 0))
+    monkeypatch.setattr(PathPotential, "__call__", counting)
+    bs = stability_set_1d(prob, -30.0, 30.0, num=1201)
+    assert len(bs.finite_edges) == 3
+    assert calls == [1024, 1024, 2048, 2048]
+
+
+def _coarse_grid(prob):
+    trace_on_grid(prob, np.linspace(-20.0, 20.0, 9))
+
+
+def _partial_interval(prob):
+    _transfer_batch(prob.potentials["1"], [0.3, -2.0], 0.4, prob.rtol,
+                    prob.atol)
+
+
+def _tighter_rtol(prob):
+    pot = prob.potentials["1"]
+    trace_on_grid(dataclasses.replace(prob, rtol=1e-12), [-1.0, 3.0])
+    assert (1.0, 4096) in pot._nodes
+
+
+@pytest.mark.parametrize("before", [_coarse_grid, _partial_interval,
+                                    _tighter_rtol],
+                         ids=["other_batch", "t_end_0.4", "tighter_rtol"])
+def test_reused_samples_give_the_fresh_traces(before):
+    prob = make_problem(lattice(1j), (2, 0, 0, 0))
+    before(prob)
+    fresh = make_problem(lattice(1j), (2, 0, 0, 0))
+    assert np.array_equal(trace_on_grid(prob, ENERGIES),
+                          trace_on_grid(fresh, ENERGIES))
+
+
 def test_bisection_steps_are_determinant_checked(monkeypatch):
     # an off-grid energy with a non-unimodular transfer matrix must not
     # slip through the edge refinement
     grid = np.linspace(-12.0, 10.0, 221)
     real = hill._transfer_batch
 
-    def broken(vfun, omega, e_values, t_end, rtol, atol):
-        ms = real(vfun, omega, e_values, t_end, rtol, atol)
+    def broken(pot, e_values, t_end, rtol, atol):
+        ms = real(pot, e_values, t_end, rtol, atol)
         e = np.atleast_1d(np.asarray(e_values)).real
         ms[~np.isin(e, grid)] *= 2.0
         return ms
@@ -260,9 +338,8 @@ def test_direction1_floquet_density_invariance():
     pot1 = prob.potentials["1"]
     worst = 0.0
     for s in (0.05, 0.4, 0.6, 0.9):
-        y_s = _transfer_batch(pot1, 1.0, [e], s, prob.rtol, prob.atol)[0]
-        y_s1 = _transfer_batch(pot1, 1.0, [e], 1.0 + s, prob.rtol,
-                               prob.atol)[0]
+        y_s = _transfer_batch(pot1, [e], s, prob.rtol, prob.atol)[0]
+        y_s1 = _transfer_batch(pot1, [e], 1.0 + s, prob.rtol, prob.atol)[0]
         u, u1 = y_s @ v, y_s1 @ v
         g = np.sum(np.abs(u[0, :]) ** 2)
         g1 = np.sum(np.abs(u1[0, :]) ** 2)
@@ -301,8 +378,8 @@ ENERGIES = np.array([-8.0, -1.0, 2.5, 7.0 + 2.0j])
 
 def test_magnus_step_is_fourth_order():
     pot = problem(1j, (2, 0, 0, 0)).potentials["1"]
-    ref = _trace(_transfer_batch(pot, 1.0, ENERGIES, 1.0, 1e-13, 1e-15))
-    err = [np.abs(_trace(hill._magnus_product(pot, 1.0, ENERGIES, 1.0, n))
+    ref = _trace(_transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15))
+    err = [np.abs(_trace(hill._magnus_product(pot, ENERGIES, 1.0, n))
                   - ref) for n in (64, 128)]
     assert np.all((12.0 <= err[0] / err[1]) & (err[0] / err[1] <= 20.0))
 
@@ -312,9 +389,9 @@ def test_magnus_step_is_fourth_order():
 def test_step_doubling_estimate_bounds_the_error(tau, n, d):
     # M_(N/2) - M_N is 15 times the error of M_N to leading order
     pot = problem(tau, n).potentials[d]
-    ref = _transfer_batch(pot, pot.omega, ENERGIES, 1.0, 1e-13, 1e-15)
-    fine = hill._magnus_product(pot, pot.omega, ENERGIES, 1.0, 2048)
-    coarse = hill._magnus_product(pot, pot.omega, ENERGIES, 1.0, 1024)
+    ref = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
+    fine = hill._magnus_product(pot, ENERGIES, 1.0, 2048)
+    coarse = hill._magnus_product(pot, ENERGIES, 1.0, 1024)
     est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 15.0
     err = np.max(np.abs(fine - ref), axis=(1, 2))
     assert np.all(err <= 2.0 * est)
@@ -323,9 +400,9 @@ def test_step_doubling_estimate_bounds_the_error(tau, n, d):
 
 def test_rtol_controls_the_error():
     pot = problem(1.15j, (1, 1, 1, 1)).potentials["tau"]
-    ref = _transfer_batch(pot, pot.omega, ENERGIES, 1.0, 1e-13, 1e-15)
-    err = [np.max(np.abs(_transfer_batch(pot, pot.omega, ENERGIES, 1.0, rtol,
-                                         1e-15) - ref))
+    ref = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
+    err = [np.max(np.abs(_transfer_batch(pot, ENERGIES, 1.0, rtol, 1e-15)
+                         - ref))
            for rtol in (1e-10, 1e-11)]
     assert err[1] < err[0] / 4.0
 
@@ -334,8 +411,8 @@ def test_large_energies_refine_the_steps():
     # |mu^2| beyond the series bound at 1024 steps: the count doubles
     # instead of truncating the exponential
     pot = problem(1j, (1, 0, 0, 0)).potentials["1"]
-    assert hill._magnus_product(pot, 1.0, np.array([-1e5]), 1.0, 1024) is None
-    m = _transfer_batch(pot, 1.0, [-1e5], 1.0, 1e-10, 1e-12)[0]
+    assert hill._magnus_product(pot, np.array([-1e5]), 1.0, 1024) is None
+    m = _transfer_batch(pot, [-1e5], 1.0, 1e-10, 1e-12)[0]
     assert abs(np.linalg.det(m) - 1.0) < 1e-9
     assert abs(m[0, 0] + m[1, 1]) <= 2.0 + 1e-9
 
