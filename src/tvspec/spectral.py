@@ -21,9 +21,11 @@ Two independent routes are implemented and cross-checked:
 
 * `q_via_phi_ansatz` — principal-part elimination.  Requiring
   Phi''' - 4(V+E)Phi' - 2V'Phi (an odd elliptic function) to be pole-free
-  produces an affine matrix pencil A0 + E*A1 in the ansatz coefficients;
-  the unique polynomial null vector with the normalization above is found
-  by a single block least-squares solve, and Q is assembled by polynomial
+  produces an affine matrix pencil A0 + E*A1 in the ansatz coefficients,
+  built as one matrix per singular half period on a fixed window of
+  Laurent orders and applied to every ansatz column at once; the unique
+  polynomial null vector with the normalization above is found by a
+  single block least-squares solve, and Q is assembled by polynomial
   arithmetic in E at a generic point z0 (verified at an independent z1 and
   a held-out E*).  Each of z0 and z1 costs one evaluator call, on the
   shifted points z + w_k/2 of the active half periods, which gives the
@@ -63,7 +65,6 @@ from .heun import TildeAlpha, p_polynomial
 from .poly import (
     ComplexPoly,
     coefficient_distance,
-    compose_affine,
     match_roots,
     residuals,
 )
@@ -167,107 +168,64 @@ def _as_tuple(n):
     return MultiplicityTuple(tuple(n)).values
 
 
-# ── local Laurent windows ─────────────────────────────────────────────────
-
-class _Series:
-    """Finite Laurent window: a[i] is the coefficient of u^(lo + i)."""
-
-    __slots__ = ("lo", "a")
-
-    def __init__(self, lo: int, a):
-        self.lo = lo
-        self.a = np.asarray(a, dtype=complex)
-
-    def mul(self, other: "_Series") -> "_Series":
-        return _Series(self.lo + other.lo, np.convolve(self.a, other.a))
-
-    def add(self, other: "_Series") -> "_Series":
-        lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.a), other.lo + len(other.a))
-        a = np.zeros(hi - lo, dtype=complex)
-        a[self.lo - lo : self.lo - lo + len(self.a)] += self.a
-        a[other.lo - lo : other.lo - lo + len(other.a)] += other.a
-        return _Series(lo, a)
-
-    def scaled(self, c) -> "_Series":
-        return _Series(self.lo, c * self.a)
-
-    def deriv(self) -> "_Series":
-        powers = self.lo + np.arange(len(self.a))
-        return _Series(self.lo - 1, powers * self.a)
-
-    def coeff(self, r: int) -> complex:
-        i = r - self.lo
-        if 0 <= i < len(self.a):
-            return complex(self.a[i])
-        return 0.0 + 0.0j
-
-
-def _base_series(L: LatticeData, n, hi: int):
-    """Series of wp(u + w_m/2) for every partner index m in 0..3,
-    truncated at order ``hi``."""
-    out = {}
-    c = wp_series_origin(L, hi // 2 + 2)
-    a = np.zeros(hi + 3, dtype=complex)  # orders -2 .. hi
-    a[0] = 1.0
-    for m in range(1, hi // 2 + 1):
-        a[2 * m + 2] = c[m]
-    out[0] = _Series(-2, a)
-    for m in (1, 2, 3):
-        out[m] = _Series(0, wp_series_half(L, m, hi))
-    return out
-
+# ── principal-part pencil ─────────────────────────────────────────────────
 
 def _pencil(L: LatticeData, n):
     """Affine condition pencil (A0, A1): rows are the odd principal-part
     coefficients of Phi''' - 4(V+E)Phi' - 2V'Phi at every singular half
-    period, columns the ansatz unknowns (c0 first, then each b_j^k)."""
+    period, columns the ansatz unknowns (c0 first, then each b_j^k).
+
+    Every series lives on one window of Laurent orders lo..hi (entry
+    o - lo holds the u^o coefficient), where d/du is the matrix D and
+    multiplication by a series its Toeplitz matrix T.  At each singular
+    half period G0 is the one matrix D^3 - 4 T(V) D - 2 T(DV), and G1 is
+    -4 D, applied to all ansatz columns at once.
+    """
     nmax = max(n)
-    hi = 2 * nmax + 6
-    series = _base_series(L, n, hi)
+    # G0's lowest order is -2*nmax - 3; truncating at hi leaves every
+    # order up to 5 exact, and only orders up to -1 are read
+    lo, hi = -2 * nmax - 4, 2 * nmax + 6
+    orders = np.arange(lo, hi + 1)
+    w = len(orders)
+    # row m: wp(u + w_m/2) around u = 0
+    base = np.zeros((4, w), dtype=complex)
+    base[0, -2 - lo] = 1.0
+    base[0, 2 - lo :: 2] = wp_series_origin(L, hi // 2)[1:]
+    for m in (1, 2, 3):
+        base[m, -lo:] = wp_series_half(L, m, hi)
+    D = np.diag(orders[1:].astype(complex), 1)
+    # T(a)[i, j] is the coefficient of a at order i - j, entry i - j - lo
+    lag = np.subtract.outer(np.arange(w), np.arange(w)) - lo
+    inside = (lag >= 0) & (lag < w)
+    lag[~inside] = 0
 
-    cols = [("c0", None, None)]
-    for k in range(4):
-        for j in range(n[k]):
-            cols.append(("b", k, j))
+    def toeplitz(a):
+        return np.where(inside, a[lag], 0.0)
 
-    rows0, rows1 = [], []
+    one = (orders == 0).astype(complex)
+    blocks0, blocks1 = [], []
     for i in range(4):
         if n[i] == 0:
             continue
-        # series around w_i/2 (partner index i^k) of every power wp_k^p,
-        # p = 1..n_k, built cumulatively, and of the potential
-        powers = {}
-        v_pot = None
+        # around w_i/2, wp(z + w_k/2) is the base row of partner index i^k
+        cols, v = [one], np.zeros(w, dtype=complex)
         for k in range(4):
             if n[k] == 0:
                 continue
-            base = series[i ^ k]
-            powers[k] = [base]
+            b = base[i ^ k]
+            tb = toeplitz(b)
+            powers = [b]
             for _ in range(n[k] - 1):
-                powers[k].append(powers[k][-1].mul(base))
-            term = base.scaled(n[k] * (n[k] + 1))
-            v_pot = term if v_pot is None else v_pot.add(term)
-        v_pot_d = v_pot.deriv()
-
-        col_pairs = []
-        for kind, k, j in cols:
-            if kind == "c0":
-                F = _Series(0, [1.0])
-            else:
-                F = powers[k][n[k] - j - 1]
-            F1 = F.deriv()
-            F3 = F1.deriv().deriv()
-            G0 = F3.add(v_pot.mul(F1).scaled(-4.0)).add(v_pot_d.mul(F).scaled(-2.0))
-            G1 = F1.scaled(-4.0)
-            col_pairs.append((G0, G1))
-
-        for m_ord in range(0, n[i] + 2):
-            r = -(2 * m_ord + 1)
-            rows0.append([g0.coeff(r) for g0, _ in col_pairs])
-            rows1.append([g1.coeff(r) for _, g1 in col_pairs])
-
-    return np.array(rows0, dtype=complex), np.array(rows1, dtype=complex)
+                powers.append(tb @ powers[-1])
+            cols.extend(reversed(powers))  # b_j^k multiplies wp^(n_k - j)
+            v += n[k] * (n[k] + 1) * b
+        F = np.column_stack(cols)
+        DF = D @ F
+        G0 = D @ (D @ DF) - 4.0 * (toeplitz(v) @ DF) - 2.0 * (toeplitz(D @ v) @ F)
+        rows = -(2 * np.arange(n[i] + 2) + 1) - lo  # orders -1, -3, ...
+        blocks0.append(G0[rows])
+        blocks1.append(-4.0 * DF[rows])
+    return np.vstack(blocks0), np.vstack(blocks1)
 
 
 def _potential(L: LatticeData, n, z):
@@ -487,8 +445,6 @@ def _l_transform_fixed(n):
         (n0 - n1 + n2 - n3 - 1) // 2,
         (n0 - n1 - n2 + n3 - 1) // 2,
     )
-    if any((2 * r) % 2 for r in raw):  # defensive; exact for odd totals
-        raise CheckError("index transform produced non-integers")
     return tuple(x if x >= 0 else -x - 1 for x in raw)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvspec import spectral
-from tvspec.elliptic import wp, wp_prime
+from tvspec.elliptic import wp, wp_prime, zeta_wp_wp_prime
 from tvspec.errors import CheckError, NonConvergenceError, NotConstructibleError
 from tvspec.poly import ComplexPoly, coefficient_distance, match_roots
 from tvspec.spectral import (
@@ -290,6 +290,50 @@ def test_local_values_match_per_point_evaluation():
     for got, want in zip((vals, d1, d2), np.array(ref).T):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     assert v == pytest.approx(spectral._potential(L, n, z), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [(1, 0, 0, 0), (2, 1, 1, 0), (4, 0, 0, 3),
+                               (1, 2, 3, 4), (4, 4, 4, 4)])
+def test_pencil_rows_match_contour_integrals(n):
+    # independent route: the Laurent coefficients of G0 = F''' - 4VF' - 2V'F
+    # and G1 = -4F' by the trapezoid rule on a circle of radius 0.2
+    # (128 nodes) around each singular w_i/2, from evaluator values of wp
+    # and wp' with wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp'
+    u = 0.2 * np.exp(2j * np.pi * np.arange(128) / 128)
+    for tau in (1j, 0.3 + 1.1j, -0.4 + 0.9j):
+        L = lattice(tau)
+        A0, A1 = spectral._pencil(L, n)
+        assert A0.shape == A1.shape == (sum(nk + 2 for nk in n if nk), 1 + sum(n))
+        # the "constant ansatz term leaked" guard relies on this
+        assert np.all(A1[:, 0] == 0)
+        rows0, rows1 = [], []
+        for i in range(4):
+            if n[i] == 0:
+                continue
+            z = L.half_periods[i] + u
+            # pencil columns F: c0 first, then wp_k^(n_k - j)
+            f, f1, f3 = [np.ones_like(u)], [np.zeros_like(u)], [np.zeros_like(u)]
+            v = v1 = 0.0
+            for k in range(4):
+                if n[k] == 0:
+                    continue
+                _, p, p1 = zeta_wp_wp_prime(z + L.half_periods[k], L)
+                p2, p3 = 6 * p * p - L.g2 / 2, 12 * p * p1
+                v, v1 = v + n[k] * (n[k] + 1) * p, v1 + n[k] * (n[k] + 1) * p1
+                for w in range(n[k], 0, -1):
+                    f.append(p ** w)
+                    f1.append(w * p ** (w - 1) * p1)
+                    f3.append(w * (w - 1) * (w - 2) * p ** max(w - 3, 0) * p1 ** 3
+                              + 3 * w * (w - 1) * p ** max(w - 2, 0) * p1 * p2
+                              + w * p ** (w - 1) * p3)
+            f, f1, f3 = np.array(f), np.array(f1), np.array(f3)
+            g0, g1 = f3 - 4 * v * f1 - 2 * v1 * f, -4 * f1
+            for r in range(-1, -2 * n[i] - 4, -2):
+                weights = u ** (-r) / len(u)
+                rows0.append(g0 @ weights)
+                rows1.append(g1 @ weights)
+        for got, want in ((A0, np.array(rows0)), (A1, np.array(rows1))):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_held_out_check_catches_an_equal_error_at_both_points(monkeypatch):
