@@ -45,6 +45,7 @@ from .errors import (
 )
 from .hill import ROOT_FACTOR, make_problem, stability_set_1d, unitarity_grid
 from .premodular import (
+    SEED_LATTICE,
     WEIGHTS,
     boundary_nonvanishing_scan,
     classify_f0,
@@ -86,6 +87,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"grid {text!r} is not start:stop:count")
     if count < 1:
         raise UsageError("grid count must be >= 1")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise UsageError(f"grid {text!r} needs a finite start and stop")
     return np.linspace(start, stop, count)
 
 
@@ -126,21 +129,18 @@ def fmt_complex(z) -> str:
     return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}i"
 
 
-def jsonable(obj):
-    """Recursively convert to plain JSON types; complex -> {re, im}."""
+def _json_default(obj):
+    """``json.dumps`` hook: complex (np.complex128 included) -> {re, im},
+    numpy scalars and arrays -> their ``tolist()``."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.complexfloating,)):
-        return jsonable(complex(obj))
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, default=_json_default) + "\n"
 
 
 def _timestamp() -> str:
@@ -171,36 +171,45 @@ def _csv_cell(value):
     return value
 
 
-def emit(payload: dict, rows, fieldnames, args) -> None:
+def emit(payload: dict, columns, args) -> None:
     """Write the command result.
 
-    Rows hold plain Python values (complex, float, bool, None, lists);
-    the format branch does the conversion.  JSON mode: one document with
-    rows embedded under "rows" and the timestamp as the first key so it
-    occupies its own line.  CSV mode: rows to --out (or stdout) behind a
-    timestamp comment line and the resolved tolerance set; when --out is
-    a file the row-free summary JSON goes to stdout.
+    ``columns`` maps each row field, in output order, to its values (an
+    array, a list or a range), or is None for a result without rows.
+    Values are plain Python or numpy scalars: complex, float, bool, None,
+    lists; arrays become lists once, by ``tolist``.  JSON mode: one
+    document with the timestamp as the first key so it occupies its own
+    line, then "version" and "command", the payload, and the rows as
+    objects under "rows"; the encoder converts complex and numpy values
+    through ``_json_default``.  CSV mode: a header of the field names and
+    one line per row, each cell written by ``_csv_cell``, to --out (or
+    stdout) behind a timestamp comment line and the resolved tolerance
+    set; when --out is a file the row-free summary JSON goes to stdout.
     """
+    head = {"generated": _timestamp(), "version": __version__,
+            "command": args.command}
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c
+            for c in (columns or {}).values()]
     if args.format == "json":
-        doc = {"generated": _timestamp(), **payload}
-        if rows is not None:
-            doc["rows"] = rows
-        _write_text(json.dumps(jsonable(doc), indent=2) + "\n", args.out)
+        doc = {**head, **payload}
+        if columns is not None:
+            doc["rows"] = [dict(zip(columns, vals))
+                           for vals in zip(*cols, strict=True)]
+        _write_text(_dumps(doc), args.out)
         return
 
     buf = io.StringIO()
-    buf.write(f"# generated: {_timestamp()}\r\n")
-    tol = json.dumps(jsonable(payload.get("tolerances", {})), sort_keys=True)
+    buf.write(f"# generated: {head['generated']}\r\n")
+    tol = json.dumps(payload.get("tolerances", {}), sort_keys=True,
+                     default=_json_default)
     buf.write(f"# tolerances: {tol}\r\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows or ():
-        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns or ())
+    writer.writerows(zip(*(map(_csv_cell, c) for c in cols), strict=True))
     _write_text(buf.getvalue(), args.out)
     if args.out:
-        doc = {"generated": _timestamp(), **payload, "csv_path": args.out,
-               "rows_written": len(rows or ())}
-        sys.stdout.write(json.dumps(jsonable(doc), indent=2) + "\n")
+        sys.stdout.write(_dumps({**head, **payload, "csv_path": args.out,
+                                 "rows_written": len(cols[0]) if cols else 0}))
 
 
 # ── subcommands ───────────────────────────────────────────────────────────
@@ -215,8 +224,6 @@ def cmd_qpoly(args) -> int:
     )
     rr = rep.root_report
     payload = {
-        "version": __version__,
-        "command": "qpoly",
         "config": {"n": list(n), "tau": tau, "route": args.route},
         "tolerances": dict(rep.tolerances),
         "genus": rep.genus,
@@ -233,14 +240,12 @@ def cmd_qpoly(args) -> int:
         "max_imag": rr.max_imag,
         "diagnostics": dict(rep.diagnostics),
     }
-    rows = [
-        {"kind": "coefficient", "index": i, "value": c}
-        for i, c in enumerate(rep.coeffs.coeffs)
-    ] + [
-        {"kind": "root", "index": i, "value": r}
-        for i, r in enumerate(rr.roots)
-    ]
-    emit(payload, rows, ["kind", "index", "value"], args)
+    coeffs, roots = list(rep.coeffs.coeffs), list(rr.roots)
+    emit(payload, {
+        "kind": ["coefficient"] * len(coeffs) + ["root"] * len(roots),
+        "index": [*range(len(coeffs)), *range(len(roots))],
+        "value": coeffs + roots,
+    }, args)
     return 0
 
 
@@ -251,8 +256,6 @@ def cmd_scan(args) -> int:
         raise UsageError("--b values must be positive (tau = i*b)")
     res = tau_scan(n, bs, tol_im=args.tol_im, tol_gap=args.tol_gap)
     payload = {
-        "version": __version__,
-        "command": "scan",
         "config": {"n": list(n), "b": args.b},
         "tolerances": {
             "tol_im": args.tol_im, "tol_gap": args.tol_gap,
@@ -263,21 +266,14 @@ def cmd_scan(args) -> int:
         "failures": res.failures,
         "passed": res.passed,
     }
-    rows = [
-        {
-            "index": i, "b": p.b, "classification": p.classification,
-            "ok": p.ok, "max_imag": p.max_imag, "min_gap": p.min_gap,
-            "roots": list(p.roots) if p.roots else None,
-            "error": p.error,
-        }
-        for i, p in enumerate(res.points)
-    ]
-    emit(
-        payload, rows,
-        ["index", "b", "classification", "ok", "max_imag", "min_gap",
-         "roots", "error"],
-        args,
-    )
+    pts = res.points
+    emit(payload, {
+        "index": range(len(pts)),
+        **{k: [getattr(p, k) for p in pts]
+           for k in ("b", "classification", "ok", "max_imag", "min_gap")},
+        "roots": [list(p.roots) if p.roots else None for p in pts],
+        "error": [p.error for p in pts],
+    }, args)
     return 0 if res.passed else 2
 
 
@@ -294,8 +290,6 @@ def cmd_bands(args) -> int:
         edge_tol=args.edge_tol, im_tol=args.im_tol,
     )
     payload = {
-        "version": __version__,
-        "command": "bands",
         "config": {
             "n": list(n), "tau": tau, "E": args.E,
             "direction": args.direction,
@@ -313,14 +307,11 @@ def cmd_bands(args) -> int:
         "finite_edges": list(bands.finite_edges),
         "max_im_delta": bands.max_im_delta,
     }
-    rows = [
-        {
-            "index": i, "E": float(e), "re_delta": float(d.real),
-            "im_delta": float(d.imag), "inside": bool(abs(d.real) <= 2.0),
-        }
-        for i, (e, d) in enumerate(zip(bands.energies, bands.deltas))
-    ]
-    emit(payload, rows, ["index", "E", "re_delta", "im_delta", "inside"], args)
+    d = bands.deltas
+    emit(payload, {
+        "index": range(len(d)), "E": bands.energies, "re_delta": d.real,
+        "im_delta": d.imag, "inside": np.abs(d.real) <= 2.0,
+    }, args)
     return 0
 
 
@@ -335,8 +326,6 @@ def cmd_unitary(args) -> int:
     res = unitarity_grid(prob, q, re_vals, im_vals, tol_im=args.tol_im)
     total = res["unitary"].size
     payload = {
-        "version": __version__,
-        "command": "unitary",
         "config": {
             "n": list(n), "tau": tau, "re": args.re, "im": args.im,
         },
@@ -349,24 +338,12 @@ def cmd_unitary(args) -> int:
         "at_root_count": int(np.sum(res["at_root"])),
         "any_unitary": bool(np.any(res["unitary"])),
     }
-    rows = []
-    for j, im in enumerate(im_vals):
-        for i, re in enumerate(re_vals):
-            rows.append(
-                {
-                    "index": j * len(re_vals) + i,
-                    "re": float(re), "im": float(im),
-                    "delta1": complex(res["delta1"][j, i]),
-                    "delta2": complex(res["delta2"][j, i]),
-                    "at_root": bool(res["at_root"][j, i]),
-                    "unitary": bool(res["unitary"][j, i]),
-                }
-            )
-    emit(
-        payload, rows,
-        ["index", "re", "im", "delta1", "delta2", "at_root", "unitary"],
-        args,
-    )
+    im_grid, re_grid = np.meshgrid(im_vals, re_vals, indexing="ij")
+    emit(payload, {
+        "index": range(total), "re": re_grid.ravel(), "im": im_grid.ravel(),
+        **{k: res[k].ravel()
+           for k in ("delta1", "delta2", "at_root", "unitary")},
+    }, args)
     return 0
 
 
@@ -383,8 +360,6 @@ def _premodular_n(args) -> int:
 def cmd_premodular(args) -> int:
     n = _premodular_n(args)
     base = {
-        "version": __version__,
-        "command": "premodular",
         "config": {"op": args.op, "n": n},
         "tolerances": {
             "floor": args.floor, "newton_tol": args.newton_tol,
@@ -408,13 +383,12 @@ def cmd_premodular(args) -> int:
             "value": val,
             "abs": abs(val),
         }
-        rows = [{"r": r, "s": s, "tau": tau, "value": val, "abs": abs(val)}]
-        emit(payload, rows, ["r", "s", "tau", "value", "abs"], args)
+        emit(payload, {"r": [r], "s": [s], "tau": [tau], "value": [val],
+                       "abs": [abs(val)]}, args)
         return 0
 
     if args.op == "boundary-scan":
-        collect = args.format == "csv"
-        res = boundary_nonvanishing_scan(n, floor=args.floor, collect=collect)
+        res = boundary_nonvanishing_scan(n, floor=args.floor)
         argmin = res["argmin"]
         payload = {
             **base,
@@ -424,13 +398,16 @@ def cmd_premodular(args) -> int:
             "floor": res["floor"],
             "passed": res["passed"],
         }
-        rows = None
-        if collect:
-            rows = [
-                {"index": i, "r": r, "s": s, "tau": t, "abs": v}
-                for i, (r, s, t, v) in enumerate(res["rows"])
-            ]
-        emit(payload, rows, ["index", "r", "s", "tau", "abs"], args)
+        columns = None
+        if args.format == "csv":
+            vals = res["values"]
+            nt, ng = vals.shape
+            columns = {
+                "index": range(vals.size), "r": np.tile(res["r"], nt),
+                "s": np.tile(res["s"], nt), "tau": np.repeat(res["taus"], ng),
+                "abs": vals.ravel(),
+            }
+        emit(payload, columns, args)
         return 0 if res["passed"] else 2
 
     if args.op == "zero-find":
@@ -441,17 +418,11 @@ def cmd_premodular(args) -> int:
         res = zero_find(n, r, s, seed, tol=args.newton_tol)
         base["config"].update({"rs": args.rs, "tau": args.tau})
         payload = {**base, "r": r, "s": s, **res}
-        rows = [
-            {"r": r, "s": s, "seed": seed, "tau_zero": res["tau_zero"],
-             "residual": res["residual"], "location": res["location"],
-             "inside_F0": res["inside_F0"], "iterations": res["iterations"]}
-        ]
-        emit(
-            payload, rows,
-            ["r", "s", "seed", "tau_zero", "residual", "location",
-             "inside_F0", "iterations"],
-            args,
-        )
+        emit(payload, {
+            "r": [r], "s": [s], "seed": [seed],
+            **{k: [res[k]] for k in ("tau_zero", "residual", "location",
+                                     "inside_F0", "iterations")},
+        }, args)
         return 0
 
     if args.op == "zero-find-multi":
@@ -462,12 +433,11 @@ def cmd_premodular(args) -> int:
         if args.seed is not None:
             rng = np.random.default_rng(args.seed)
             seeds = []
-            for x in (0.1, 0.3, 0.5, 0.7, 0.9):
-                for y in (0.3, 0.6, 1.0, 1.6, 2.5):
-                    t = complex(x + rng.uniform(-0.05, 0.05),
-                                y + rng.uniform(-0.05, 0.05))
-                    if classify_f0(t).inside:
-                        seeds.append(t)
+            for c in SEED_LATTICE:
+                t = complex(c.real + rng.uniform(-0.05, 0.05),
+                            c.imag + rng.uniform(-0.05, 0.05))
+                if classify_f0(t).inside:
+                    seeds.append(t)
         res = zero_find_multi(n, r, s, seeds=seeds, tol=args.newton_tol)
         base["config"].update({"rs": args.rs, "seed": args.seed})
         payload = {
@@ -477,24 +447,13 @@ def cmd_premodular(args) -> int:
             "any_interior_zero": res["any_interior_zero"],
             "runs": len(res["runs"]),
         }
-        rows = [
-            {
-                "index": i,
-                "seed": run["seed"],
-                "converged": run["converged"],
-                "tau_zero": run.get("tau_zero"),
-                "residual": run.get("residual"),
-                "location": run.get("location"),
-                "error": run.get("error"),
-            }
-            for i, run in enumerate(res["runs"])
-        ]
-        emit(
-            payload, rows,
-            ["index", "seed", "converged", "tau_zero", "residual",
-             "location", "error"],
-            args,
-        )
+        runs = res["runs"]
+        emit(payload, {
+            "index": range(len(runs)),
+            **{k: [run.get(k) for run in runs]
+               for k in ("seed", "converged", "tau_zero", "residual",
+                         "location", "error")},
+        }, args)
         return 0
 
     raise UsageError(f"unknown premodular op {args.op!r}")

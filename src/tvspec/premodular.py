@@ -48,6 +48,7 @@ __all__ = [
     "boundary_nonvanishing_scan",
     "zero_find",
     "zero_find_multi",
+    "SEED_LATTICE",
 ]
 
 WEIGHTS = {1: 1, 2: 3, 3: 6, 4: 10}
@@ -214,7 +215,6 @@ def boundary_nonvanishing_scan(
     rs_grid=None,
     tau_grid=None,
     floor: float = 1e-8,
-    collect: bool = False,
 ) -> dict:
     """min |Z^(n)| over (r,s) x boundary tau, with its argmin and a strict
     positivity verdict against ``floor``.  The theorem behind it promises
@@ -222,12 +222,12 @@ def boundary_nonvanishing_scan(
     the floor is an empirical regression guard, not a proved bound.
 
     Each lattice is built once and z_n is evaluated on the whole (r, s)
-    grid in one array call.  The argmin is the first minimum in (tau
-    index, grid index) order; a NaN value fails the verdict.
-    ``collect=True`` additionally returns every sampled value as rows
-    (r, s, tau, abs) in that order.  Raises ValueError unless floor is
-    finite and positive (a floor <= 0 passes any values) and both grids
-    are non-empty."""
+    grid in one array call.  Every sampled |Z^(n)| is returned as the
+    (len(taus), len(grid)) array "values", with the grid as arrays "r"
+    and "s" and the boundary points as "taus".  The argmin is the first
+    minimum in (tau index, grid index) order; a NaN value fails the
+    verdict.  Raises ValueError unless floor is finite and positive (a
+    floor <= 0 passes any values) and both grids are non-empty."""
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError(f"floor must be finite and > 0, got {floor}")
     if rs_grid is None:
@@ -243,28 +243,28 @@ def boundary_nonvanishing_scan(
     vals = np.array([np.abs(z_n(make_lattice(tau), r, s, n)) for tau in taus])
     it, ig = np.unravel_index(np.argmin(vals), vals.shape)
     best = float(vals[it, ig])
-    out = {
+    return {
         "n": n,
         "min_abs": best,
         "argmin": (float(r[ig]), float(s[ig]), taus[it]),
         "points": vals.size,
         "floor": floor,
         "passed": best > floor,
+        "values": vals,
+        "r": r,
+        "s": s,
+        "taus": np.array(taus),
     }
-    if collect:
-        pairs = rs.tolist()
-        out["rows"] = [
-            (rr, ss, tau, v)
-            for tau, row in zip(taus, vals.tolist())
-            for (rr, ss), v in zip(pairs, row)
-        ]
-    return out
 
 
 # ── zero finding ──────────────────────────────────────────────────────────
 
 _FIRST_CHORD = 1e-6   # the first secant runs from the seed to seed + this
 _MAX_ITER = 60
+# the multi-start seed lattice, Re outer and Im inner: `zero-find-multi
+# --seed` draws its jitter in this order
+SEED_LATTICE = tuple(x + 1j * y for x in (0.1, 0.3, 0.5, 0.7, 0.9)
+                     for y in (0.3, 0.6, 1.0, 1.6, 2.5))
 
 
 def zero_find(
@@ -332,16 +332,12 @@ def zero_find_multi(
     seeds=None,
     tol: float = 1e-10,
 ) -> dict:
-    """Run zero_find from a lattice of seeds inside F0 and collect the
-    distinct interior zeros (deduplicated at 1e-6).  Used to claim absence:
-    every start either fails to converge or lands outside the interior."""
+    """Run zero_find from each seed (default: the SEED_LATTICE points
+    inside F0) and collect the distinct interior zeros (deduplicated at
+    1e-6).  Used to claim absence: every start either fails to converge
+    or lands outside the interior."""
     if seeds is None:
-        seeds = [
-            x + 1j * y
-            for x in (0.1, 0.3, 0.5, 0.7, 0.9)
-            for y in (0.3, 0.6, 1.0, 1.6, 2.5)
-            if classify_f0(x + 1j * y).inside
-        ]
+        seeds = [t for t in SEED_LATTICE if classify_f0(t).inside]
     zeros = []
     runs = []
     for seed in seeds:

@@ -1,11 +1,13 @@
+import csv
 import json
+import math
 
 import pytest
 
-from tvspec import cli
+from tvspec import __version__, cli
 from tvspec.cli import fmt_complex, main, parse_complex, parse_grid
 from tvspec.hill import trace_on_grid
-from tvspec.premodular import z_n
+from tvspec.premodular import boundary_nonvanishing_scan, z_n
 
 from conftest import lattice, problem
 
@@ -23,6 +25,36 @@ def strip_stamp_json(text):
 def strip_stamp_csv(text):
     return "\n".join(l for l in text.splitlines()
                      if not l.startswith("# generated"))
+
+
+def csv_table(text):
+    """Header and data rows of a CSV document, after its two comment lines."""
+    lines = text.split("\r\n")
+    assert lines[0].startswith("# generated:")
+    assert lines[1].startswith("# tolerances:")
+    header, *rows = csv.reader(lines[2:-1])
+    assert lines[-1] == ""
+    return header, rows
+
+
+def assert_cell_is(cell, want):
+    """A CSV cell parses back to its JSON value."""
+    if want is None:
+        assert cell == ""
+    elif isinstance(want, bool):
+        assert cell == ("true" if want else "false")
+    elif isinstance(want, dict):
+        assert parse_complex(cell) == complex(want["re"], want["im"])
+    elif isinstance(want, list):
+        parts = cell.split(";")
+        assert len(parts) == len(want)
+        for part, w in zip(parts, want):
+            assert_cell_is(part, w)
+    elif isinstance(want, float):
+        got = float(cell)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    else:
+        assert cell == str(want)
 
 
 def test_parse_helpers():
@@ -339,3 +371,74 @@ def test_boundary_scan_exit_codes(capsys):
 def test_version_and_unknown_command(capsys):
     assert run(capsys, "--version")[0] == 0
     assert run(capsys, "frobnicate")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "2,0,0,0", "--b", "nan:1:3"],
+    ["scan", "--n", "2,0,0,0", "--b", "1:inf:3"],
+    ["bands", "--n", "1,0,0,0", "--tau", "1i", "--E", "-8:inf:5"],
+])
+def test_non_finite_grid_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "needs a finite start and stop" in err
+
+
+ROW_COMMANDS = [
+    ["qpoly", "--n", "1,0,0,1", "--tau", "0+1.2i"],
+    ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3"],
+    ["bands", "--n", "1,0,0,0", "--tau", "0+1i", "--E", "-8:8:5"],
+    ["unitary", "--n", "2,0,0,0", "--tau", "0+1i", "--re", "-6:6:3",
+     "--im", "-2:2:2"],
+    ["premodular", "--op", "eval", "--n", "2", "--rs", "0.3,0.2",
+     "--tau", "0+1.1i"],
+    ["premodular", "--op", "zero-find", "--n", "2", "--rs", "0.15,0.15",
+     "--tau", "0.7+0.7i"],
+    ["premodular", "--op", "zero-find-multi", "--n", "2", "--rs",
+     "0.15,0.15", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", ROW_COMMANDS, ids=lambda a: " ".join(a[:3]))
+def test_csv_rows_agree_with_json_rows(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[:3] == ["generated", "version", "command"]
+    assert (doc["version"], doc["command"]) == (__version__, argv[0])
+    rows = doc["rows"]
+    assert rows
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, cells = csv_table(out)
+    assert header == list(rows[0])
+    assert len(cells) == len(rows)
+    for line, row in zip(cells, rows):
+        assert list(row) == header
+        assert len(line) == len(header)
+        for cell, want in zip(line, row.values()):
+            assert_cell_is(cell, want)
+
+
+def test_boundary_scan_csv_rows_are_the_scan_values(capsys, tmp_path):
+    out_path = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, "premodular", "--op", "boundary-scan",
+                       "--n", "1", "--format", "csv", "--out", str(out_path))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["command"] == "premodular"
+    res = boundary_nonvanishing_scan(1)
+    vals = res["values"]
+    assert summary["rows_written"] == vals.size == 24000
+    header, cells = csv_table(out_path.read_bytes().decode())
+    assert header == ["index", "r", "s", "tau", "abs"]
+    assert len(cells) == vals.size
+    ng = vals.shape[1]
+    r, s, taus = res["r"].tolist(), res["s"].tolist(), res["taus"].tolist()
+    for k, (index, rc, sc, tc, ac) in enumerate(cells):
+        it, ig = divmod(k, ng)
+        assert int(index) == k
+        assert (float(rc), float(sc)) == (r[ig], s[ig])
+        assert parse_complex(tc) == taus[it]
+        assert float(ac) == vals[it, ig]

@@ -209,12 +209,12 @@ def test_zero_find_multi_reports_absence():
 def test_boundary_scan_small():
     taus = boundary_tau_samples(12)
     res = boundary_nonvanishing_scan(
-        1, rs_grid=[(0.3, 0.3), (0.25, 0.1)], tau_grid=taus, collect=True
+        1, rs_grid=[(0.3, 0.3), (0.25, 0.1)], tau_grid=taus
     )
     assert res["passed"]
     assert res["points"] == 24
-    assert len(res["rows"]) == 24
-    assert min(row[3] for row in res["rows"]) == res["min_abs"]
+    assert res["values"].shape == (12, 2)
+    assert res["values"].min() == res["min_abs"]
     r, s, tau = res["argmin"]
     assert (r, s) in ((0.3, 0.3), (0.25, 0.1))
 
@@ -267,16 +267,23 @@ def _brute_force_scan(n, rs_grid, taus):
     return best, argmin, rows
 
 
+def _scan_rows(res):
+    """The scan's samples as (r, s, tau, abs) rows in (tau, grid) order."""
+    return [(r, s, tau, v)
+            for tau, row in zip(res["taus"].tolist(), res["values"].tolist())
+            for r, s, v in zip(res["r"].tolist(), res["s"].tolist(), row)]
+
+
 def _assert_scan_matches_brute_force(n, rs_grid, taus):
-    res = boundary_nonvanishing_scan(n, rs_grid=rs_grid, tau_grid=taus,
-                                     collect=True)
+    res = boundary_nonvanishing_scan(n, rs_grid=rs_grid, tau_grid=taus)
     best, argmin, rows = _brute_force_scan(n, rs_grid, taus)
-    assert res["points"] == len(rows) == len(res["rows"])
+    assert res["values"].shape == (len(taus), len(rs_grid))
+    assert res["points"] == len(rows) == res["values"].size
     assert res["argmin"] == argmin
+    assert all(type(x) in (float, complex) for x in res["argmin"])
     assert abs(res["min_abs"] - best) <= 1e-12 * best
-    for got, want in zip(res["rows"], rows):
+    for got, want in zip(_scan_rows(res), rows):
         assert got[:3] == want[:3]
-        assert all(type(x) in (float, complex) for x in got)
         assert abs(got[3] - want[3]) <= 1e-9 * want[3]
     return res
 
@@ -294,7 +301,7 @@ def test_boundary_scan_tie_goes_to_first_point():
                                            tau_grid=taus)["argmin"]
     # the minimizer again later in both the grid and the tau list
     res = _assert_scan_matches_brute_force(2, rs + [(r, s)], taus + [tau])
-    ties = [row for row in res["rows"] if row[3] == res["min_abs"]]
+    ties = [row for row in _scan_rows(res) if row[3] == res["min_abs"]]
     assert len(ties) == 4
     assert res["argmin"] == ties[0][:3] == (r, s, tau)
 
