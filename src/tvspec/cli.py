@@ -446,13 +446,14 @@ def cmd_premodular(args) -> int:
             "interior_zeros": list(res["interior_zeros"]),
             "any_interior_zero": res["any_interior_zero"],
             "runs": len(res["runs"]),
+            "diagnostics": res["diagnostics"],
         }
         runs = res["runs"]
         emit(payload, {
             "index": range(len(runs)),
             **{k: [run.get(k) for run in runs]
-               for k in ("seed", "converged", "tau_zero", "residual",
-                         "location", "error")},
+               for k in ("seed", "converged", "iterations", "tau_zero",
+                         "residual", "location", "error")},
         }, args)
         return 0
 

@@ -11,6 +11,11 @@ Conventions used throughout the package:
 * g2 = -4(e1 e2 + e1 e3 + e2 e3), g3 = 4 e1 e2 e3;
 * eta1 = 2 zeta(1/2) from the Eisenstein E2 q-series, eta2 from the
   Legendre relation eta1*tau - eta2 = 2*pi*i (never a second series).
+
+A batch of lattices is one LatticeData whose fields are arrays over tau
+(``make_lattice`` of a 1-D array).  The evaluators broadcast against it
+with tau on the last axis of the evaluation points, and each series runs
+until it has truncated on every lattice of the batch.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ POLE_GUARD = 1e-6
 
 @dataclass(frozen=True)
 class LatticeData:
-    """Cached constants of the lattice Z + Z*tau."""
+    """Cached constants of the lattice Z + Z*tau; for a batch of lattices
+    every field is a 1-D array over tau."""
 
     tau: complex
     q: complex                # nome exp(i*pi*tau)
@@ -62,7 +68,9 @@ class LatticeData:
 
 def _eisenstein_e2(q: complex) -> complex:
     """E2(tau) = 1 - 24 sum sigma_1(m) p^m, p = q^2, via the Lambert form
-    sum_{k>=1} k p^k / (1 - p^k)."""
+    sum_{k>=1} k p^k / (1 - p^k).  An array q sums every nome at once
+    until the term is below tolerance on all of them."""
+    batch = isinstance(q, np.ndarray)
     p = q * q
     acc = 0.0 + 0.0j
     pk = 1.0 + 0.0j
@@ -70,7 +78,11 @@ def _eisenstein_e2(q: complex) -> complex:
         pk *= p
         term = k * pk / (1.0 - pk)
         acc += term
-        if abs(term) < TRUNCATION_TOL * max(1.0, abs(acc)):
+        if batch:
+            done = np.all(abs(term) < TRUNCATION_TOL * np.maximum(1.0, abs(acc)))
+        else:
+            done = abs(term) < TRUNCATION_TOL * max(1.0, abs(acc))
+        if done:
             break
     else:
         raise NonConvergenceError("Eisenstein E2 series did not truncate")
@@ -83,15 +95,17 @@ def _theta1_block(v, q: complex):
     v must be reduced to the cell, so |Im v| <= Im tau / 2; that bound
     fixes a safe series length a priori, while the loop still exits early
     once the worst-case next term is below TRUNCATION_TOL * (accumulated
-    magnitude).
+    magnitude).  An array q holds one nome per lattice, matched to the
+    last axis of v; the loop then runs until every lattice has truncated.
     """
     v = np.asarray(v, dtype=complex)
     th = np.zeros_like(v)
     th1 = np.zeros_like(v)
     th2 = np.zeros_like(v)
     th3 = np.zeros_like(v)
+    batch = isinstance(q, np.ndarray)
     absq = abs(q)
-    if absq >= 1.0:
+    if (np.any(absq >= 1.0) if batch else absq >= 1.0):
         raise ValueError("nome |q| >= 1; tau must satisfy Im tau > 0")
     logq = np.log(absq)
     im_bound = -logq / (2.0 * np.pi)
@@ -105,11 +119,17 @@ def _theta1_block(v, q: complex):
         th1 += coef * a * c
         th2 -= coef * a * a * s
         th3 -= coef * a ** 3 * c
-        floor = max(floor, float(np.max(np.abs(th))))
         # worst-case magnitude of the NEXT term (third derivative weight)
         nxt = (2 * n + 3) * np.pi
         bound = 2.0 * np.exp(((n + 1.5) ** 2) * logq + nxt * im_bound) * nxt ** 3
-        if n >= 1 and bound < TRUNCATION_TOL * max(floor, 1e-300):
+        if batch:
+            peak = np.abs(th).reshape(-1, q.size).max(axis=0)
+            floor = np.maximum(floor, peak)
+            done = np.all(bound < TRUNCATION_TOL * np.maximum(floor, 1e-300))
+        else:
+            floor = max(floor, float(np.max(np.abs(th))))
+            done = bound < TRUNCATION_TOL * max(floor, 1e-300)
+        if n >= 1 and done:
             break
     else:
         raise NonConvergenceError("theta1 series did not truncate")
@@ -117,7 +137,7 @@ def _theta1_block(v, q: complex):
 
 
 def _split_lattice_coords(z, tau: complex):
-    """Real coordinates (a, b) with z = a + b*tau."""
+    """Real coordinates (a, b) with z = a + b*tau (tau broadcast against z)."""
     z = np.asarray(z, dtype=complex)
     im_tau = tau.imag
     b = z.imag / im_tau
@@ -127,7 +147,9 @@ def _split_lattice_coords(z, tau: complex):
 
 def reduce_to_cell(z, tau: complex):
     """Reduce z modulo the lattice: returns (z_red, m, n) with
-    z = z_red + m + n*tau and lattice coordinates of z_red in [-1/2, 1/2]."""
+    z = z_red + m + n*tau and lattice coordinates of z_red in [-1/2, 1/2].
+    An array tau reduces each point on the lattice of its last-axis
+    position."""
     a, b = _split_lattice_coords(z, tau)
     n = np.round(b)
     m = np.round(a)
@@ -135,27 +157,51 @@ def reduce_to_cell(z, tau: complex):
     return z_red, m.astype(int), n.astype(int)
 
 
-def make_lattice(tau: complex) -> LatticeData:
+def make_lattice(tau) -> LatticeData:
     """Build the cached lattice constants for Z + Z*tau.
 
-    Raises ValueError unless Im tau > 0.
+    tau is a scalar or a non-empty 1-D array.  For an array the result is
+    one LatticeData whose fields are arrays over tau, built by one pass of
+    each series; the evaluators then take points with tau on their last
+    axis (a point array of shape (len(tau),) puts one point on each
+    lattice), so ``z_n(make_lattice(taus), r, s, n)`` is Z^(n)_{r,s} at
+    every tau.  A lattice in a batch may get a few series terms below
+    TRUNCATION_TOL that it would not get alone.
+
+    Raises ValueError unless every tau is finite with Im tau > 0.
     """
-    tau = complex(tau)
-    if not np.isfinite(tau.real) or not np.isfinite(tau.imag):
-        raise ValueError("tau must be finite")
-    if tau.imag <= 0:
-        raise ValueError(f"Im tau must be positive, got tau = {tau}")
+    batch = np.ndim(tau) > 0
+    if batch:
+        tau = np.asarray(tau, dtype=complex)
+        if tau.ndim != 1 or tau.size == 0:
+            raise ValueError("tau must be a scalar or a non-empty 1-D array")
+        if not np.all(np.isfinite(tau)):
+            raise ValueError("tau must be finite")
+        if np.any(tau.imag <= 0):
+            raise ValueError(f"Im tau must be positive, got tau = "
+                             f"{tau[tau.imag <= 0][0]}")
+    else:
+        tau = complex(tau)
+        if not np.isfinite(tau.real) or not np.isfinite(tau.imag):
+            raise ValueError("tau must be finite")
+        if tau.imag <= 0:
+            raise ValueError(f"Im tau must be positive, got tau = {tau}")
     q = np.exp(1j * np.pi * tau)
     eta1 = (np.pi ** 2 / 3.0) * _eisenstein_e2(q)
     eta2 = eta1 * tau - _TWO_PI_I
+    if not batch:
+        q, eta1, eta2 = complex(q), complex(eta1), complex(eta2)
 
-    # e_k by one evaluation at the three half periods; it reads only tau,
-    # q, eta1 and eta2, so the e_k and g_k are placeholders until then.
-    nan = complex(np.nan, np.nan)
-    cell = LatticeData(tau=tau, q=complex(q), e1=nan, e2=nan, e3=nan,
-                       g2=nan, g3=nan, eta1=complex(eta1), eta2=complex(eta2))
-    _, es, _ = zeta_wp_wp_prime(np.array(cell.half_periods[1:]), cell)
-    e1, e2, e3 = (complex(e) for e in es)
+    # e_k by one evaluation at the three half periods, shape (3,) or
+    # (3, len(tau)); it reads only tau, q, eta1 and eta2, so the e_k and
+    # g_k are placeholders until then.
+    nan = np.full_like(tau, np.nan) if batch else complex(np.nan, np.nan)
+    cell = LatticeData(tau=tau, q=q, e1=nan, e2=nan, e3=nan, g2=nan, g3=nan,
+                       eta1=eta1, eta2=eta2)
+    half = cell.half_periods[1:]
+    points = np.array(np.broadcast_arrays(*half) if batch else half)
+    _, es, _ = zeta_wp_wp_prime(points, cell)
+    e1, e2, e3 = es if batch else (complex(e) for e in es)
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
     return replace(cell, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3)
@@ -163,8 +209,9 @@ def make_lattice(tau: complex) -> LatticeData:
 
 def zeta_wp_wp_prime(z, L: LatticeData):
     """(zeta(z), wp(z), wp'(z)) on Z + Z*tau from one cell reduction and
-    one theta block.  Accepts scalars or arrays; raises PoleError when a
-    point lies within POLE_GUARD of the lattice.
+    one theta block.  Accepts scalars or arrays, and a batch L with tau on
+    the last axis of z; raises PoleError when a point lies within
+    POLE_GUARD of the lattice.
 
     With z = z_red + m + n*tau and z_red reduced to the cell:
     zeta(z) = eta1 z_red + theta1'(z_red)/theta1(z_red) + m eta1 + n eta2,

@@ -14,10 +14,11 @@ boundary of the fundamental domain
 
     F0 = {tau : 0 <= Re tau <= 1, |tau - 1/2| >= 1/2, Im tau > 0}.
 
-The module provides the evaluations, the F0 classifier, grid scans of
-|z_n| over the three boundary pieces, secant zero finding in tau (with
-multi-start), and the one transformation law: for gamma = ((a, b), (c, d))
-in SL2(Z) and w = n(n+1)/2,
+The module provides the evaluations (on one lattice or on a batch of
+lattices over tau), the F0 classifier, grid scans of |z_n| over the three
+boundary pieces, secant zero finding in tau (multi-start runs step in
+lockstep, one batch of lattices per step), and the one transformation
+law: for gamma = ((a, b), (c, d)) in SL2(Z) and w = n(n+1)/2,
 
     Z^(n)_{ar-bs, -cr+ds}(gamma tau) = (c*tau + d)^w Z^(n)_{r,s}(tau).
 
@@ -35,7 +36,6 @@ from .elliptic import LatticeData, make_lattice, zeta_wp_wp_prime
 from .errors import NonConvergenceError
 
 __all__ = [
-    "PreModularParams",
     "F0Point",
     "WEIGHTS",
     "z_rs",
@@ -59,31 +59,6 @@ def is_half_torsion(r: float, s: float, tol: float = 1e-12) -> bool:
     fr = abs(2.0 * r - round(2.0 * r))
     fs = abs(2.0 * s - round(2.0 * s))
     return fr <= tol and fs <= tol
-
-
-@dataclass(frozen=True)
-class PreModularParams:
-    """Validated (r, s, n, tau); half-torsion inputs are allowed but the
-    nonvanishing statements do not apply to them."""
-
-    r: float
-    s: float
-    n: int
-    tau: complex
-
-    def __post_init__(self):
-        if self.n not in (1, 2, 3, 4):
-            raise ValueError("n must be 1, 2, 3 or 4")
-        if complex(self.tau).imag <= 0:
-            raise ValueError("tau must lie in the upper half plane")
-
-    @property
-    def weight(self) -> int:
-        return WEIGHTS[self.n]
-
-    @property
-    def half_torsion(self) -> bool:
-        return is_half_torsion(self.r, self.s)
 
 
 @dataclass(frozen=True)
@@ -267,6 +242,90 @@ SEED_LATTICE = tuple(x + 1j * y for x in (0.1, 0.3, 0.5, 0.7, 0.9)
                      for y in (0.3, 0.6, 1.0, 1.6, 2.5))
 
 
+def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
+    """Secant iterations on tau for Z^(n)_{r,s}(tau) = 0 from every seed
+    at once.  Each step builds one batch of lattices, one per run still
+    live (the first step also holds each seed + 1e-6, the end of the first
+    chord), and every run keeps its own rules: at most 60 steps, each
+    clipped to length 0.5; an exit once Im tau < 0.02 and on a vanishing
+    chord slope; converged once |Z| < tol and the last |step| < tol.
+
+    Returns one dict per seed, in order -- a converged run's tau_zero,
+    residual, F0 location and iterations, or a failed run's error message
+    and the iteration it stopped at -- and the diagnostics of the batch:
+    lattices built, batched steps and the largest iteration count.
+    Raises ValueError unless tol is finite and positive (no start could
+    converge otherwise) and every seed lies in the upper half plane."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    start = np.array([complex(x) for x in seeds], dtype=complex)
+    if np.any(start.imag <= 0):
+        raise ValueError("seed must lie in the upper half plane")
+    t = start.copy()
+    runs = [None] * t.size
+    t_prev, val_prev = np.empty_like(t), np.empty_like(t)
+    last_step = np.full(t.size, np.inf)
+    last_abs = np.full(t.size, np.nan)
+    live = np.arange(t.size)
+    lattices = steps = 0
+
+    def fail(i, it, message):
+        runs[i] = {"converged": False, "error": message, "iterations": it}
+
+    for it in range(_MAX_ITER):
+        low = t[live].imag < 0.02
+        for i in live[low]:
+            fail(i, it, f"iteration {it} left the usable half plane at "
+                        f"{complex(t[i]):.6g}")
+        live = live[~low]
+        if live.size == 0:
+            break
+        batch = t[live]
+        if it == 0:
+            batch = np.concatenate([batch, batch + _FIRST_CHORD])
+        val = z_n(make_lattice(batch), r, s, n)
+        lattices += batch.size
+        steps += 1
+        if it == 0:
+            t_prev[live], val_prev[live] = batch[live.size:], val[live.size:]
+            val = val[:live.size]
+        last_abs[live] = np.abs(val)
+        done = (last_abs[live] < tol) & (last_step[live] < tol)
+        for i in live[done]:
+            loc = classify_f0(t[i])
+            runs[i] = {
+                "tau_zero": complex(t[i]),
+                "residual": float(last_abs[i]),
+                "inside_F0": loc.location == "interior",
+                "location": loc.location,
+                "converged": True,
+                "iterations": it,
+            }
+        live, val = live[~done], val[~done]
+        der = (val - val_prev[live]) / (t[live] - t_prev[live])
+        flat = np.abs(der) < 1e-14 * (1.0 + np.abs(val))
+        for i in live[flat]:
+            fail(i, it, "derivative underflow in secant step at "
+                        f"iteration {it}")
+        live, val, der = live[~flat], val[~flat], der[~flat]
+        step = -val / der
+        big = np.abs(step) > 0.5
+        step[big] *= 0.5 / np.abs(step[big])
+        t_prev[live], val_prev[live] = t[live], val
+        t[live] += step
+        last_step[live] = np.abs(step)
+    for i in live:
+        fail(i, _MAX_ITER, f"no zero within {_MAX_ITER} iterations from "
+                           f"seed {complex(start[i]):.4g} "
+                           f"(last |Z| = {last_abs[i]:.3g})")
+    diagnostics = {
+        "lattices": lattices,
+        "batched_steps": steps,
+        "max_iterations": max((run["iterations"] for run in runs), default=0),
+    }
+    return runs, diagnostics
+
+
 def zero_find(
     n: int,
     r: float,
@@ -274,55 +333,19 @@ def zero_find(
     seed_tau: complex,
     tol: float = 1e-10,
 ) -> dict:
-    """Secant iteration on tau for Z^(n)_{r,s}(tau) = 0: the slope is that
-    of the chord through the previous iterate (the first chord ends at
-    seed + 1e-6), so each step builds one lattice.  Converged means
-    |Z| < tol and |step| < tol; divergence and half-plane exits raise
-    NonConvergenceError.  The returned F0 location tells whether the zero
+    """Secant iteration on tau for Z^(n)_{r,s}(tau) = 0 from one seed: the
+    slope is that of the chord through the previous iterate (the first
+    chord ends at seed + 1e-6), so each step builds one lattice.  It is
+    the lockstep iteration of zero_find_multi run on this seed alone.
+    Converged means |Z| < tol and |step| < tol; divergence, half-plane and
+    slope-underflow exits raise NonConvergenceError naming the iteration
+    they stopped at.  The returned F0 location tells whether the zero
     counts (interior) or not.  Raises ValueError unless tol is finite and
-    positive (no start could converge otherwise)."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-    def f(t):
-        return z_n(make_lattice(t), r, s, n)
-
-    t = complex(seed_tau)
-    if t.imag <= 0:
-        raise ValueError("seed must lie in the upper half plane")
-    last_step = np.inf
-    for it in range(_MAX_ITER):
-        if t.imag < 0.02:
-            raise NonConvergenceError(
-                f"iteration left the usable half plane at {t:.6g}"
-            )
-        val = f(t)
-        if abs(val) < tol and last_step < tol:
-            loc = classify_f0(t)
-            return {
-                "tau_zero": t,
-                "residual": abs(val),
-                "inside_F0": loc.location == "interior",
-                "location": loc.location,
-                "converged": True,
-                "iterations": it,
-            }
-        if it == 0:
-            t_prev = t + _FIRST_CHORD
-            val_prev = f(t_prev)
-        der = (val - val_prev) / (t - t_prev)
-        if abs(der) < 1e-14 * (1.0 + abs(val)):
-            raise NonConvergenceError("derivative underflow in secant step")
-        step = -val / der
-        if abs(step) > 0.5:
-            step *= 0.5 / abs(step)
-        t_prev, val_prev = t, val
-        t += step
-        last_step = abs(step)
-    raise NonConvergenceError(
-        f"no zero within {_MAX_ITER} iterations from seed {seed_tau:.4g} "
-        f"(last |Z| = {abs(val):.3g})"
-    )
+    positive and the seed lies in the upper half plane."""
+    (run,), _ = _secant_lockstep(n, r, s, [seed_tau], tol)
+    if not run["converged"]:
+        raise NonConvergenceError(run["error"])
+    return run
 
 
 def zero_find_multi(
@@ -332,23 +355,23 @@ def zero_find_multi(
     seeds=None,
     tol: float = 1e-10,
 ) -> dict:
-    """Run zero_find from each seed (default: the SEED_LATTICE points
-    inside F0) and collect the distinct interior zeros (deduplicated at
-    1e-6).  Used to claim absence: every start either fails to converge
-    or lands outside the interior."""
+    """The secant iteration of zero_find run from every seed in lockstep
+    (default seeds: the SEED_LATTICE points inside F0), one batch of
+    lattices per step, collecting the distinct interior zeros
+    (deduplicated at 1e-6).  Used to claim absence: every start either
+    fails to converge or lands outside the interior.  Each run records
+    its seed and iterations, a failed run its error; "diagnostics" counts
+    the lattices built, the batched steps and the largest iteration
+    count."""
     if seeds is None:
         seeds = [t for t in SEED_LATTICE if classify_f0(t).inside]
+    seeds = [complex(t) for t in seeds]
+    results, diagnostics = _secant_lockstep(n, r, s, seeds, tol)
     zeros = []
     runs = []
-    for seed in seeds:
-        try:
-            res = zero_find(n, r, s, seed, tol=tol)
-        except NonConvergenceError as exc:
-            runs.append({"seed": complex(seed), "converged": False,
-                         "error": str(exc)})
-            continue
-        runs.append({"seed": complex(seed), "converged": True, **res})
-        if res["inside_F0"]:
+    for seed, res in zip(seeds, results):
+        runs.append({"seed": seed, **res})
+        if res["converged"] and res["inside_F0"]:
             t = res["tau_zero"]
             if all(abs(t - z) > 1e-6 for z in zeros):
                 zeros.append(t)
@@ -359,4 +382,5 @@ def zero_find_multi(
         "interior_zeros": tuple(zeros),
         "any_interior_zero": bool(zeros),
         "runs": tuple(runs),
+        "diagnostics": diagnostics,
     }

@@ -755,14 +755,18 @@ def tau_scan(
     a complex pair at every b, NEITHER expects real distinct roots at
     every b.  Per-point numerical failures (TvspecError, ValueError) are
     collected, not raised; any other exception propagates.  Vacuous
-    tolerances raise ValueError before the first point."""
+    tolerances and a non-finite or non-positive b raise ValueError before
+    the first point."""
     n = _as_tuple(n)
     _check_tolerances(tol_im=tol_im, tol_gap=tol_gap)
+    b_values = [float(b) for b in b_values]
+    for b in b_values:
+        if not (np.isfinite(b) and b > 0):
+            raise ValueError(f"b must be finite and > 0, got {b}")
     cls = condition_class(n)
     expected = "has_complex" if cls in ("C1", "C2") else "real_distinct"
 
     def worker(b):
-        b = float(b)
         try:
             L = make_lattice(1j * b)
             rr = spectral_report(L, n, route="both",

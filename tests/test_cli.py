@@ -353,6 +353,20 @@ def test_premodular_zero_find_paths(capsys):
     assert code == 3
 
 
+def test_zero_find_multi_reports_runs_and_diagnostics(capsys):
+    code, out, _ = run(capsys, "premodular", "--op", "zero-find-multi",
+                       "--n", "2", "--rs", "0.3,0.3", "--seed", "3")
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc["rows"]
+    assert doc["any_interior_zero"] is False
+    assert len(rows) == doc["runs"]
+    assert all(isinstance(row["iterations"], int) for row in rows)
+    diag = doc["diagnostics"]
+    assert diag["max_iterations"] == max(row["iterations"] for row in rows)
+    assert 0 < diag["batched_steps"] <= 60 < diag["lattices"]
+
+
 def test_premodular_rejects_tuple_n(capsys):
     assert run(capsys, "premodular", "--op", "eval", "--n", "1,0,0,1",
                "--rs", "0.3,0.2", "--tau", "0+1i")[0] == 1

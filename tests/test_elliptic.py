@@ -240,3 +240,62 @@ def test_make_lattice_rejects_lower_half_plane():
         make_lattice(-1j)
     with pytest.raises(ValueError):
         make_lattice(0.5)
+    for bad in ([1j, -1j], [1j, np.nan], [], [[1j, 2j]]):
+        with pytest.raises(ValueError):
+            make_lattice(np.array(bad, dtype=complex))
+
+
+# a mixed batch: Im tau log-spaced over [0.05, 10] in shuffled order, so
+# thin lattices (long series) sit beside thick ones (two terms), and the
+# cusps 0 and 1 of F0 at the lowest height
+_rng = np.random.default_rng(16)
+BATCH_TAUS = np.append(_rng.permutation(
+    _rng.uniform(-0.5, 1.0, 24) + 1j * np.geomspace(0.05, 10.0, 24)),
+    [0.05j, 1 + 0.05j])
+
+
+def test_lattice_batch_matches_lattices_alone():
+    B = make_lattice(BATCH_TAUS)
+    assert np.array_equal(B.tau, BATCH_TAUS)
+    for i, tau in enumerate(BATCH_TAUS):
+        L = make_lattice(complex(tau))
+        e = max(abs(L.e1), abs(L.e2), abs(L.e3))
+        scales = {"q": abs(L.q), "e1": e, "e2": e, "e3": e, "g2": e ** 2,
+                  "g3": e ** 3, "eta1": abs(L.eta1),
+                  "eta2": abs(L.eta1 * L.tau)}
+        ref = None
+        for name, scale in scales.items():
+            got, want = getattr(B, name)[i], getattr(L, name)
+            if abs(got - want) > 1e-13 * scale:
+                # In the batch a lattice may get series terms below
+                # TRUNCATION_TOL that it does not get alone, and the
+                # nome's powers round differently.  Near the cusps 0 and 1
+                # at Im tau ~ 0.05, where the kernel itself is only good to
+                # ~1e-10, e2 = wp(tau/2) cancels badly and both rounding
+                # errors grow; there the batch must be no farther from
+                # mpmath than the lattice alone.
+                ref = ref or lattice_ref(complex(tau))
+                assert abs(got - ref[name]) <= 2 * abs(want - ref[name]), \
+                    (tau, name)
+
+
+def test_z_n_over_a_lattice_batch_matches_lattices_alone():
+    B = make_lattice(BATCH_TAUS)
+    for n in (1, 2, 3, 4):
+        for r, s in ((0.15, 0.15), (0.3, 0.3), (0.7, 0.4)):
+            got = z_n(B, r, s, n)
+            assert got.shape == BATCH_TAUS.shape
+            for tau, value in zip(BATCH_TAUS, got):
+                L = make_lattice(complex(tau))
+                want = z_n(L, r, s, n)
+                zeta, p, pp = zeta_wp_wp_prime(r + s * L.tau, L)
+                Z = zeta - r * L.eta1 - s * L.eta2
+                # the size of the terms of z_n, a weight-w monomial
+                terms = max(abs(Z), abs(p) ** 0.5, abs(pp) ** (1 / 3),
+                            abs(L.g2) ** 0.25) ** (n * (n + 1) // 2)
+                assert abs(value - want) <= 1e-9 * max(abs(want), terms)
+    # one point per lattice, on the last axis of the points
+    z = 0.3 + 0.2 * BATCH_TAUS
+    for value, tau in zip(wp(z, B), BATCH_TAUS):
+        L = make_lattice(complex(tau))
+        assert abs(value - wp(complex(0.3 + 0.2 * tau), L)) <= 1e-9 * abs(value)

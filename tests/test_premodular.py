@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from tvspec import premodular
-from tvspec.elliptic import zeta_wp_wp_prime
+from tvspec.elliptic import make_lattice, zeta_wp_wp_prime
 from tvspec.errors import NonConvergenceError, PoleError
 from tvspec.premodular import (
     WEIGHTS,
-    PreModularParams,
     boundary_nonvanishing_scan,
     boundary_tau_samples,
     classify_f0,
@@ -21,17 +20,6 @@ from tvspec.premodular import (
 
 from conftest import lattice
 from oracles import lattice_ref, wp_prime_ref, wp_ref, zeta_ref
-
-
-def test_params_weight_and_validation():
-    assert [PreModularParams(0.3, 0.3, n, 1j).weight
-            for n in (1, 2, 3, 4)] == [1, 3, 6, 10]
-    with pytest.raises(ValueError):
-        PreModularParams(0.3, 0.3, 5, 1j)
-    with pytest.raises(ValueError):
-        PreModularParams(0.3, 0.3, 1, 1.0 - 0.2j)
-    assert PreModularParams(0.5, 1.0, 2, 1j).half_torsion
-    assert not PreModularParams(0.5, 0.3, 2, 1j).half_torsion
 
 
 def test_half_torsion_predicate():
@@ -97,6 +85,7 @@ def test_translation_and_inversion_identities(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_congruence_weight_transformation(n):
+    assert WEIGHTS == {1: 1, 2: 3, 3: 6, 4: 10}
     # 5r is an integer at the first two points, so gamma fixes (r, s) mod
     # 1 there; the law holds at the generic third point as well
     gamma = ((1, 0), (5, 1))
@@ -145,23 +134,100 @@ def test_zero_find_builds_one_lattice_per_step(monkeypatch):
     calls = []
 
     def counting(tau):
-        calls.append(tau)
-        return lattice(tau)
+        calls.append(np.size(tau))
+        return make_lattice(tau)
 
     monkeypatch.setattr(premodular, "make_lattice", counting)
     for args in ((1, 0.3, 0.3, 0.55 + 0.85j), (2, 0.15, 0.15, 0.7 + 0.7j)):
         calls.clear()
         res = zero_find(*args)
-        # one value per iterate and one more for the first chord
-        assert len(calls) == res["iterations"] + 2
+        # one value per iterate and one more for the first chord, which
+        # shares the first batch
+        assert sum(calls) == res["iterations"] + 2
+        assert calls[0] == 2 and len(calls) == res["iterations"] + 1
+
+
+def test_zero_find_multi_steps_all_starts_in_lockstep(monkeypatch):
+    calls = []
+
+    def counting(tau):
+        calls.append(np.size(tau))
+        return make_lattice(tau)
+
+    monkeypatch.setattr(premodular, "make_lattice", counting)
+    res = zero_find_multi(2, 0.15, 0.15)
+    runs, diag = res["runs"], res["diagnostics"]
+
+    def steps(run):
+        # a run evaluates Z at iterations 0 .. k when it converges or its
+        # slope vanishes at iteration k; at 0 .. k-1 when it leaves the
+        # half plane at k or uses up the budget (k = 60)
+        stays = run["converged"] or "underflow" in run["error"]
+        return run["iterations"] + stays
+
+    # one batch per step, holding every run still live and, in the first,
+    # the end of each first chord
+    assert calls[0] == 2 * len(runs)
+    assert len(calls) == max(map(steps, runs)) == diag["batched_steps"]
+    assert sum(calls) == sum(steps(run) + 1 for run in runs)
+    assert diag == {"lattices": sum(calls), "batched_steps": len(calls),
+                    "max_iterations": max(run["iterations"] for run in runs)}
+    failed = [run for run in runs if not run["converged"]]
+    assert failed
+    for run in failed:
+        assert 0 < run["iterations"] <= 60
+        assert str(run["iterations"]) in run["error"]
+
+
+@pytest.mark.parametrize("n,r,s,interior_runs", [
+    (2, 0.15, 0.15, 8), (2, 0.3, 0.3, 0), (1, 0.3, 0.3, 22)])
+def test_zero_find_is_one_run_of_zero_find_multi(n, r, s, interior_runs):
+    multi = zero_find_multi(n, r, s)
+    interior = 0
+    for run in multi["runs"]:
+        try:
+            alone = zero_find(n, r, s, run["seed"])
+        except NonConvergenceError:
+            alone = {}
+        # in a batch a lattice may get series terms below TRUNCATION_TOL
+        # that it does not get alone; a run that drifts toward a cusp,
+        # where |Z| ~ 1e-11, may then end differently, but a run that
+        # ends at an interior zero ends there in both
+        if "interior" in (run.get("location"), alone.get("location")):
+            interior += 1
+            assert run["location"] == alone["location"]
+            assert run["iterations"] == alone["iterations"]
+            assert abs(run["tau_zero"] - alone["tau_zero"]) <= 1e-12
+    assert interior == interior_runs
 
 
 def test_zero_find_failure_modes():
     with pytest.raises(ValueError):
         zero_find(1, 0.3, 0.3, 0.5 - 1j)
+    with pytest.raises(ValueError, match="upper half plane"):
+        zero_find_multi(1, 0.3, 0.3, seeds=[0.5 + 1j, 0.5 - 1j])
     # iterates chase the cusp: |Z| decays but tau runs off
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="within 60 iterations"):
         zero_find(1, 0.6, 0.1, 0.3 + 1.5j)
+
+
+def test_zero_find_exits_name_their_iteration(monkeypatch):
+    # a linear Z sends the first secant step onto its zero, below the
+    # usable half plane; a constant Z has a vanishing chord slope
+    monkeypatch.setattr(premodular, "z_n",
+                        lambda L, r, s, n: L.tau - (0.5 + 0.001j))
+    with pytest.raises(NonConvergenceError,
+                       match="iteration 1 left the usable half plane"):
+        zero_find(2, 0.15, 0.15, 0.6 + 0.4j)
+    monkeypatch.setattr(premodular, "z_n",
+                        lambda L, r, s, n: np.ones_like(L.tau))
+    res = zero_find_multi(2, 0.15, 0.15, seeds=[0.7 + 0.7j, 0.3 + 1j])
+    for run in res["runs"]:
+        assert run["iterations"] == 0
+        assert run["error"] == ("derivative underflow in secant step at "
+                                "iteration 0")
+    assert res["diagnostics"] == {"lattices": 4, "batched_steps": 1,
+                                  "max_iterations": 0}
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

@@ -378,3 +378,14 @@ def test_tau_scan_refuses_vacuous_tolerances_before_scanning(tol, monkeypatch):
     for name in ("tol_im", "tol_gap"):
         with pytest.raises(ValueError, match=name):
             tau_scan((1, 0, 0, 1), [0.8, 1.0], **{name: tol})
+
+
+@pytest.mark.parametrize("b_values", [[np.nan, np.inf, 1.0], [1.0, 0.0],
+                                      [0.8, -1.0], [1.0, np.inf]])
+def test_tau_scan_refuses_bad_b_before_scanning(b_values, monkeypatch):
+    def no_lattice(tau):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(spectral, "make_lattice", no_lattice)
+    with pytest.raises(ValueError, match="b must be finite and > 0"):
+        tau_scan((2, 0, 0, 0), b_values)
