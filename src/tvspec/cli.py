@@ -14,7 +14,8 @@ Conventions
     - CSV output is RFC 4180 (CRLF, minimal quoting) preceded by two
       comment lines: a timestamp header and the resolved tolerance set
     - JSON output holds the timestamp in a "generated" field on its own
-      line; everything below it is deterministic for a fixed invocation
+      line and the rest of the document on the next line; everything
+      below the timestamp is deterministic for a fixed invocation
     - elliptic functions come from theta series truncated at a fixed
       relative tolerance of 1e-14 (reported as "truncation_tol" in every
       tolerance set); a point within 1e-6 of a pole is a PoleError
@@ -25,10 +26,9 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import functools
-import io
+import itertools
 import json
 import re
 import sys
@@ -139,8 +139,13 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+def _dumps(stamp: str, doc: dict) -> str:
+    """JSON text of ``doc`` behind a "generated": ``stamp`` first key: "{"
+    and the timestamp each on a line of their own, then the rest of the
+    document on one line.  Without ``indent``, ``json.dumps`` runs
+    CPython's C encoder."""
+    rest = json.dumps(doc, default=_json_default)
+    return f'{{\n  "generated": {json.dumps(stamp)},\n  {rest[1:]}\n'
 
 
 def _timestamp() -> str:
@@ -149,12 +154,12 @@ def _timestamp() -> str:
     )
 
 
-def _write_text(text: str, out_path):
+def _write_lines(lines, out_path):
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _csv_cell(value):
@@ -171,45 +176,78 @@ def _csv_cell(value):
     return value
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_quote(text: str) -> str:
+    """RFC 4180 minimal quoting, as ``csv.writer`` does it: a cell holding
+    a comma, a double quote, CR or LF is quoted with its quotes doubled."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(col) -> list:
+    """One column's CSV cells as text.  A float64 or complex128 array is
+    formatted once per distinct bit pattern (so 0.0 and -0.0 stay apart)
+    and indexed back, its numbers needing no quotes; any other column goes
+    cell by cell."""
+    if isinstance(col, np.ndarray) and col.dtype in (np.float64,
+                                                     np.complex128):
+        bits = col.view(np.int64 if col.dtype == np.float64 else "V16")
+        _, first, inverse = np.unique(bits, return_index=True,
+                                      return_inverse=True)
+        text = np.array([_csv_cell(v) for v in col[first].tolist()],
+                        dtype=object)
+        return text[inverse].tolist()
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
+    return [_csv_quote(str(_csv_cell(v))) for v in col]
+
+
 def emit(payload: dict, columns, args) -> None:
     """Write the command result.
 
     ``columns`` maps each row field, in output order, to its values (an
     array, a list or a range), or is None for a result without rows.
     Values are plain Python or numpy scalars: complex, float, bool, None,
-    lists; arrays become lists once, by ``tolist``.  JSON mode: one
-    document with the timestamp as the first key so it occupies its own
-    line, then "version" and "command", the payload, and the rows as
-    objects under "rows"; the encoder converts complex and numpy values
-    through ``_json_default``.  CSV mode: a header of the field names and
-    one line per row, each cell written by ``_csv_cell``, to --out (or
-    stdout) behind a timestamp comment line and the resolved tolerance
-    set; when --out is a file the row-free summary JSON goes to stdout.
+    lists.  JSON mode: one document whose first key, "generated", holds
+    the timestamp on a line of its own; the next line holds the rest:
+    "version" and "command", the payload, and the rows as objects under
+    "rows" (arrays become lists once, by ``tolist``), written by the C
+    encoder, which converts complex and numpy values through
+    ``_json_default``.  CSV mode: a timestamp comment line, the resolved
+    tolerance set, a header of the field names and one line per row,
+    streamed to --out (or stdout); each column is formatted once by
+    ``_csv_column``, with the cells of ``_csv_cell`` under RFC 4180
+    minimal quoting.  When --out is a file the row-free summary JSON goes
+    to stdout.
     """
-    head = {"generated": _timestamp(), "version": __version__,
-            "command": args.command}
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c
-            for c in (columns or {}).values()]
+    stamp = _timestamp()
+    head = {"version": __version__, "command": args.command}
     if args.format == "json":
         doc = {**head, **payload}
         if columns is not None:
+            cols = [c.tolist() if isinstance(c, np.ndarray) else c
+                    for c in columns.values()]
             doc["rows"] = [dict(zip(columns, vals))
                            for vals in zip(*cols, strict=True)]
-        _write_text(_dumps(doc), args.out)
+        _write_lines([_dumps(stamp, doc)], args.out)
         return
 
-    buf = io.StringIO()
-    buf.write(f"# generated: {head['generated']}\r\n")
+    cells = [_csv_column(c) for c in (columns or {}).values()]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
     tol = json.dumps(payload.get("tolerances", {}), sort_keys=True,
                      default=_json_default)
-    buf.write(f"# tolerances: {tol}\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns or ())
-    writer.writerows(zip(*(map(_csv_cell, c) for c in cols), strict=True))
-    _write_text(buf.getvalue(), args.out)
+    top = [f"# generated: {stamp}\r\n", f"# tolerances: {tol}\r\n",
+           ",".join(map(_csv_quote, columns or ())) + "\r\n"]
+    rows = (",".join(row) + "\r\n" for row in zip(*cells))
+    _write_lines(itertools.chain(top, rows), args.out)
     if args.out:
-        sys.stdout.write(_dumps({**head, **payload, "csv_path": args.out,
-                                 "rows_written": len(cols[0]) if cols else 0}))
+        sys.stdout.write(_dumps(stamp, {
+            **head, **payload, "csv_path": args.out,
+            "rows_written": len(cells[0]) if cells else 0}))
 
 
 # ── subcommands ───────────────────────────────────────────────────────────

@@ -70,7 +70,6 @@ from .poly import (
 )
 
 __all__ = [
-    "MultiplicityTuple",
     "SpectralReport",
     "RootReport",
     "ScanPoint",
@@ -127,45 +126,19 @@ def condition_class(n) -> str:
     return "NEITHER"
 
 
-@dataclass(frozen=True)
-class MultiplicityTuple:
-    """Validated multiplicity tuple with its derived classification."""
-
-    values: tuple
-
-    def __post_init__(self):
-        v = tuple(int(x) for x in self.values)
-        if len(v) != 4:
-            raise ValueError("need exactly four multiplicities")
-        if any(x != y for x, y in zip(v, self.values)):
-            raise ValueError("multiplicities must be integers")
-        if any(x < 0 for x in v):
-            raise ValueError("multiplicities must be non-negative")
-        if max(v) < 1:
-            raise ValueError("at least one multiplicity must be positive")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.total % 2 == 0 else "odd"
-
-    @property
-    def genus(self) -> int:
-        return genus_of(self.values)
-
-    @property
-    def condition_class(self) -> str:
-        return condition_class(self.values)
-
-
-def _as_tuple(n):
-    if isinstance(n, MultiplicityTuple):
-        return n.values
-    return MultiplicityTuple(tuple(n)).values
+def _as_tuple(n) -> tuple:
+    """``n`` as a validated tuple of four multiplicities."""
+    n = tuple(n)
+    v = tuple(int(x) for x in n)
+    if len(v) != 4:
+        raise ValueError("need exactly four multiplicities")
+    if any(x != y for x, y in zip(v, n)):
+        raise ValueError("multiplicities must be integers")
+    if any(x < 0 for x in v):
+        raise ValueError("multiplicities must be non-negative")
+    if max(v) < 1:
+        raise ValueError("at least one multiplicity must be positive")
+    return v
 
 
 # ── principal-part pencil ─────────────────────────────────────────────────

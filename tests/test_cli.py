@@ -1,7 +1,10 @@
+import argparse
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tvspec import __version__, cli
@@ -456,3 +459,90 @@ def test_boundary_scan_csv_rows_are_the_scan_values(capsys, tmp_path):
         assert (float(rc), float(sc)) == (r[ig], s[ig])
         assert parse_complex(tc) == taus[it]
         assert float(ac) == vals[it, ig]
+
+
+def test_emit_csv_matches_csv_writer(capsys):
+    nan, inf = float("nan"), float("inf")
+    floats = np.array([0.0, -0.0, nan, inf, -inf, 0.0, -0.0, 1.5, 1.5,
+                       0.1, 0.1, 2.0 ** -1074, 1e300])
+    k = len(floats)
+    columns = {
+        "index": range(k),
+        "text": ["a,b", 'say "hi"', "two\r\nlines", '""', "", None, "x",
+                 "cr\r", "lf\n", ",", '"', "plain", "end"],
+        "flag": [True, False, None, True, False, True, False, True, False,
+                 True, False, True, False],
+        "nested": [[1.5, [2, "a,b"]], [], [None, True], ["q\"uote"], (1, 2),
+                   [-0.0], [nan], [1j], [], [0.0], [""], ["x"], [inf]],
+        "inside": np.array([v > 0 for v in floats.tolist()]),
+        "count": np.arange(k, dtype=np.int64),
+        "value": floats,
+        "z": np.array([complex(a, b) for a, b in zip(floats, floats[::-1])]),
+        "re": np.array([complex(a, -a) for a in floats]).real,
+    }
+    args = argparse.Namespace(command="test", format="csv", out=None)
+    cli.emit({"tolerances": {"tol": 1e-6}}, columns, args)
+    out = capsys.readouterr().out
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\r\n")
+    writer.writerow(columns)
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c
+            for c in columns.values()]
+    writer.writerows(zip(*(map(cli._csv_cell, c) for c in cols)))
+    lines = out.split("\r\n", 2)
+    assert lines[0].startswith("# generated: ")
+    assert lines[1] == '# tolerances: {"tol": 1e-06}'
+    assert lines[2] == want.getvalue()
+    # 0.0 and -0.0 are distinct cells, whichever is formatted first
+    values = [row[6] for row in csv.reader(lines[2].split("\r\n")[1:-1])]
+    assert values[:7] == ["0", "-0", "nan", "inf", "-inf", "0", "-0"]
+
+
+def test_emit_csv_without_rows_is_an_empty_header(capsys):
+    args = argparse.Namespace(command="test", format="csv", out=None)
+    cli.emit({}, None, args)
+    assert capsys.readouterr().out.split("\r\n")[2:] == ["", ""]
+
+
+def test_emit_csv_refuses_ragged_columns(capsys, tmp_path):
+    out = tmp_path / "ragged.csv"
+    args = argparse.Namespace(command="test", format="csv", out=str(out))
+    with pytest.raises(ValueError, match="differ in length"):
+        cli.emit({}, {"a": np.zeros(2), "b": [1, 2, 3]}, args)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+JSON_COMMANDS = ROW_COMMANDS + [
+    ["premodular", "--op", "boundary-scan", "--n", "1"],
+    ["premodular", "--op", "boundary-scan", "--n", "1", "--format", "csv",
+     "--out", "{tmp}/scan.csv"],
+    ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3", "--format", "csv",
+     "--out", "{tmp}/scan.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda a: " ".join(a))
+def test_json_layout(capsys, monkeypatch, tmp_path, argv):
+    """An opening brace and the timestamp on lines of their own, the rest
+    on one line; the same values, in the same order, as the indented
+    encoding of the same document."""
+    docs = []
+    dumps = cli._dumps
+
+    def spy(stamp, doc):
+        docs.append({"generated": stamp, **doc})
+        return dumps(stamp, doc)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 0
+    assert len(docs) == 1
+    lines = out.split("\n")
+    assert len(lines) == 4 and lines[3] == ""
+    assert lines[0] == "{"
+    assert lines[1].startswith('  "generated": "') and lines[1].endswith('",')
+    indented = json.dumps(docs[0], indent=2, default=cli._json_default)
+    got, want = json.loads(out), json.loads(indented)
+    assert list(got) == list(want)
+    assert json.dumps(got) == json.dumps(want)

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -319,6 +320,51 @@ def test_z2_routes_match_mpmath():
         array = z_n(L, np.array([r, 0.1]), np.array([s, 0.2]), 2)[0]
         for got in (scalar, array):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (r, s, tau)
+
+
+# Z^(n) for n = 3, 4 as monomials (c, a, b, d, e, f): c * Z^a wp^b wp'^d
+# g2^e g3^f, each of weight a + 2b + 3d + 4e + 6f = WEIGHTS[n]
+Z_MONOMIALS = {
+    3: [(1, 6, 0, 0, 0, 0), (-15, 4, 1, 0, 0, 0), (-20, 3, 0, 1, 0, 0),
+        (27 / 4, 2, 0, 0, 1, 0), (-45, 2, 2, 0, 0, 0), (-12, 1, 1, 1, 0, 0),
+        (-5 / 4, 0, 0, 2, 0, 0)],
+    4: [(1, 10, 0, 0, 0, 0), (-45, 8, 1, 0, 0, 0), (-120, 7, 0, 1, 0, 0),
+        (399 / 4, 6, 0, 0, 1, 0), (-630, 6, 2, 0, 0, 0),
+        (-504, 5, 1, 1, 0, 0), (-1050, 4, 3, 0, 0, 0),
+        (735 / 4, 4, 1, 0, 1, 0), (1725 / 4, 4, 0, 0, 0, 1),
+        (165, 3, 0, 1, 1, 0), (-360, 3, 2, 1, 0, 0), (-315, 2, 4, 0, 0, 0),
+        (2205 / 4, 2, 2, 0, 1, 0), (-855 / 2, 2, 1, 0, 0, 1),
+        (-189 / 4, 2, 0, 0, 2, 0), (-40, 1, 3, 1, 0, 0),
+        (163, 1, 1, 1, 1, 0), (-125, 1, 0, 1, 0, 1), (75 / 4, 0, 0, 2, 1, 0),
+        (-9 / 4, 0, 2, 2, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_z3_z4_match_mpmath(n):
+    for c, *powers in Z_MONOMIALS[n]:
+        assert np.dot(powers, (1, 2, 3, 4, 6)) == WEIGHTS[n]
+    for r, s, tau in ((0.3, 0.2, 1.1j), (0.23, 0.36, 0.31 + 1.12j),
+                      (0.7, 0.4, 1.0 + 0.6j), (0.525, 0.4875, 1.0 + 1.42j)):
+        z = r + s * tau
+        ref = lattice_ref(tau)
+        eta2 = ref["eta1"] * tau - 2j * np.pi
+        Z = zeta_ref(z, tau) - r * ref["eta1"] - s * eta2
+        base = [mp.mpc(v) for v in (Z, wp_ref(z, tau), wp_prime_ref(z, tau),
+                                     ref["g2"], ref["g3"])]
+        want = complex(mp.fsum(
+            c * mp.fprod(v ** k for v, k in zip(base, powers))
+            for c, *powers in Z_MONOMIALS[n]))
+        # the bound of test_array_z_n_matches_scalar: the size of the
+        # terms, a weight-w monomial, or |z_n| where that is larger
+        terms = max(abs(Z), abs(base[1]) ** 0.5, abs(base[2]) ** (1 / 3),
+                    abs(base[3]) ** 0.25) ** WEIGHTS[n]
+        scale = max(abs(want), terms)
+        L = lattice(tau)
+        scalar = z_n(L, r, s, n)
+        array = z_n(L, np.array([r, 0.1]), np.array([s, 0.2]), n)[0]
+        for got in (scalar, array):
+            assert abs(got - want) <= 1e-9 * scale, (r, s, tau)
 
 
 def _brute_force_scan(n, rs_grid, taus):

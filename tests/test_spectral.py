@@ -7,7 +7,6 @@ from tvspec.elliptic import wp, wp_prime, zeta_wp_wp_prime
 from tvspec.errors import CheckError, NonConvergenceError, NotConstructibleError
 from tvspec.poly import ComplexPoly, coefficient_distance, match_roots
 from tvspec.spectral import (
-    MultiplicityTuple,
     condition_class,
     genus_of,
     modular_covariance_check,
@@ -61,15 +60,15 @@ def test_condition_class_table():
 
 
 def test_multiplicity_tuple_validation():
-    t = MultiplicityTuple((2, 0, 0, 0))
-    assert t.total == 2 and t.parity == "even"
-    assert t.genus == 2 and t.condition_class == "NEITHER"
-    with pytest.raises(ValueError):
-        MultiplicityTuple((0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        MultiplicityTuple((-1, 1, 0, 0))
-    with pytest.raises(ValueError):
-        MultiplicityTuple((1, 0, 0))
+    L = lattice(1j)
+    for n, message in (
+        ((0, 0, 0, 0), "at least one multiplicity must be positive"),
+        ((-1, 1, 0, 0), "multiplicities must be non-negative"),
+        ((1, 0, 0), "need exactly four multiplicities"),
+        ((1.5, 0, 0, 0), "multiplicities must be integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            q_via_phi_ansatz(L, n)
 
 
 def test_classical_cubic():
