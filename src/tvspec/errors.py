@@ -17,11 +17,8 @@ class PoleError(TvspecError):
 
 class NonConvergenceError(TvspecError):
     """An iteration hit its step/iteration budget before meeting its
-    tolerance.  ``partial`` carries whatever was computed so far."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    tolerance.  It carries only its message, which says which iteration
+    gave up."""
 
 
 class NotConstructibleError(TvspecError):

@@ -7,16 +7,13 @@ With the state (y, dy/dz) the transfer matrices M1 (period 1) and M2
 (period tau) have unit determinant and commute; their traces Delta_j are
 entire in E.  On top of the raw integrator this module provides:
 
-* Floquet exponents paired through the eigenvector frame of M1;
 * real-axis stability sets {E : Delta real, |Delta| <= 2} with band
   edges bisected all together, one batched determinant-checked trace per
   step;
 * a two-torus intersection probe (the same potential transported to the
   lattice of -1/tau shares only the spectral-curve branch points);
-* pointwise unitarity tests of the monodromy representation and the
-  periodicity of the induced developing-map density G = |y1|^2 + |y2|^2;
-* a circle-mean check that Delta satisfies the analytic mean value
-  property in E.
+* the unitarity of the monodromy representation on a complex E grid:
+  both traces real in [-2, 2] at a point that is not a branch point.
 
 Integration is a fixed-node 4th-order Magnus method: V is sampled at the
 two Gauss nodes of every step, straight from the theta kernel, each step
@@ -56,18 +53,13 @@ __all__ = [
     "MonodromyRecord",
     "Band",
     "BandStructure",
-    "UnitarityRecord",
     "make_problem",
     "monodromy",
     "trace_on_grid",
     "commutator_check",
-    "floquet_pair",
     "stability_set_1d",
     "dual_torus_exclusion",
-    "unitarity_probe",
     "unitarity_grid",
-    "developing_map_periodicity",
-    "delta_circle_mean",
     "at_root",
     "ROOT_FACTOR",
 ]
@@ -345,39 +337,6 @@ def commutator_check(prob: GLEProblem, e, tol: float = 1e-6) -> dict:
     }
 
 
-def floquet_pair(prob: GLEProblem, e, parabolic_tol: float = 1e-8) -> dict:
-    """Floquet exponents (theta1, theta2) of one joint eigensolution:
-    y(z+1) = exp(i pi theta1) y, y(z+tau) = exp(i pi theta2) y.  The pair
-    is fixed by diagonalizing M1 and reading M2 in that eigenframe; it is
-    defined up to joint sign and even integer shifts.  Refuses within
-    parabolic_tol of Delta1 = +-2 where the eigenframe degenerates."""
-    r1 = monodromy(prob, e, "1")
-    r2 = monodromy(prob, e, "tau")
-    d1 = r1.delta
-    if abs(d1 * d1 - 4.0) <= parabolic_tol * (1.0 + abs(d1) ** 2):
-        raise CheckError(
-            f"Delta1 within {parabolic_tol:g} of a parabolic point; "
-            "eigenvector frame is unreliable"
-        )
-    w, v = np.linalg.eig(r1.matrix)
-    d2mat = np.linalg.solve(v, r2.matrix @ v)
-    off = max(abs(d2mat[0, 1]), abs(d2mat[1, 0]))
-    scale = 1.0 + float(np.linalg.norm(r2.matrix, 2))
-    if off > 1e-6 * scale:
-        raise CheckError(
-            f"M2 fails to diagonalize in the M1 eigenframe (off {off:.2e})"
-        )
-    theta1 = cmath.log(w[0]) / (1j * cmath.pi)
-    theta2 = cmath.log(d2mat[0, 0]) / (1j * cmath.pi)
-    return {
-        "E": complex(e),
-        "theta1": theta1,
-        "theta2": theta2,
-        "multipliers": (complex(w[0]), complex(d2mat[0, 0])),
-        "records": (r1, r2),
-    }
-
-
 # ── stability bands on the real axis ──────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -591,38 +550,10 @@ def _trace_unitary(delta, tol_im: float):
     )
 
 
-@dataclass(frozen=True)
-class UnitarityRecord:
-    E: complex
-    delta1: complex
-    delta2: complex
-    at_root: bool
-    unitary: bool
-    commutator: float
-
-
-def unitarity_probe(
-    prob: GLEProblem,
-    e,
-    qpoly: ComplexPoly,
-    tol_im: float = 1e-6,
-) -> UnitarityRecord:
-    """The monodromy pair is unitarizable exactly when both traces are
-    real in [-2, 2]; branch points (where the pair degenerates) are
-    excluded via ``qpoly``."""
-    chk = commutator_check(prob, e)
-    r1, r2 = chk["records"]
-    root_flag = bool(at_root(qpoly, e))
-    unit = bool(_trace_unitary(r1.delta, tol_im)
-                and _trace_unitary(r2.delta, tol_im) and not root_flag)
-    return UnitarityRecord(
-        E=complex(e),
-        delta1=r1.delta,
-        delta2=r2.delta,
-        at_root=root_flag,
-        unitary=unit,
-        commutator=chk["relative"],
-    )
+def _trace_parabolic(delta, tol_im: float):
+    """Whether a trace is +-2 within |Delta^2 - 4| <= 16 tol_im
+    (elementwise)."""
+    return np.abs(delta * delta - 4.0) <= 16.0 * tol_im
 
 
 def unitarity_grid(
@@ -634,7 +565,12 @@ def unitarity_grid(
 ) -> dict:
     """Vectorized unitarity classification over a rectangular E-grid.
     Returns the trace arrays and boolean masks (shape len(im) x len(re)).
-    tol_im must be finite and positive (ValueError)."""
+    A point is unitary when both traces are real in [-2, 2] within tol_im
+    and it is not a branch point.  The "at_root" mask marks the branch
+    points: ``at_root`` holds, or both traces are +-2 within
+    |Delta^2 - 4| <= 16 tol_im.  Both traces are +-2 at every root of Q,
+    and next to a root where Q is steep the residual test of ``at_root``
+    misses.  tol_im must be finite and positive (ValueError)."""
     _check_tolerances(tol_im=tol_im)
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
@@ -644,7 +580,8 @@ def unitarity_grid(
     shape = (len(im_values), len(re_values))
     d1 = d1.reshape(shape)
     d2 = d2.reshape(shape)
-    rootmask = at_root(qpoly, ee.reshape(shape))
+    rootmask = at_root(qpoly, ee.reshape(shape)) | (
+        _trace_parabolic(d1, tol_im) & _trace_parabolic(d2, tol_im))
     unitary = _trace_unitary(d1, tol_im) & _trace_unitary(d2, tol_im) & ~rootmask
     return {
         "re_values": re_values,
@@ -654,96 +591,4 @@ def unitarity_grid(
         "at_root": rootmask,
         "unitary": unitary,
         "tol_im": tol_im,
-    }
-
-
-# ── developing map periodicity ────────────────────────────────────────────
-
-def developing_map_periodicity(
-    prob: GLEProblem,
-    e,
-    qpoly: ComplexPoly,
-    samples=(0.05, 0.40, 0.50, 0.60, 0.90),
-    tol: float = 1e-6,
-) -> dict:
-    """For unitary monodromy the density G = |y1|^2 + |y2|^2 built from
-    the joint Floquet pair is invariant under both lattice shifts.  The
-    invariance is verified by honest re-integration along extended and
-    bent paths (never by applying the Floquet relation itself).  Sample
-    offsets must stay away from 1/4 and 3/4 where the bent path would
-    graze pole lines.  Refuses at branch points and at non-unitary
-    energies, where no invariant density exists."""
-    for s in samples:
-        if abs(s - 0.25) < 0.1 or abs(s - 0.75) < 0.1:
-            raise ValueError("sample offsets must avoid 1/4, 3/4 (+-0.1)")
-    if at_root(qpoly, e):
-        raise CheckError("E is a branch point; the Floquet pair degenerates")
-    probe = unitarity_probe(prob, e, qpoly)
-    if not probe.unitary:
-        raise CheckError(
-            f"monodromy not unitary at E={e} "
-            f"(Delta1={probe.delta1:.4g}, Delta2={probe.delta2:.4g})"
-        )
-
-    fp = floquet_pair(prob, e)
-    r1, _ = fp["records"]
-    _, v = np.linalg.eig(r1.matrix)
-
-    L, n = prob.L, prob.n
-    z_b = prob.z_base
-    pot1 = prob.potentials["1"]
-    ee = [e]
-    rt, at = prob.rtol, prob.atol
-
-    worst1 = 0.0
-    worst_tau = 0.0
-    for s in samples:
-        y_s = _transfer_batch(pot1, ee, s, rt, at)[0]
-        y_s1 = _transfer_batch(pot1, ee, 1.0 + s, rt, at)[0]
-        bent = PathPotential(L, n, z_b + s, L.tau)
-        t_s = _transfer_batch(bent, ee, 1.0, rt, at)[0]
-
-        u = y_s @ v          # columns: Floquet states at z_b + s
-        u1 = y_s1 @ v        # at z_b + s + 1
-        ut = t_s @ (y_s @ v)  # at z_b + s + tau
-        g = np.sum(np.abs(u[0, :]) ** 2)
-        g1 = np.sum(np.abs(u1[0, :]) ** 2)
-        gt = np.sum(np.abs(ut[0, :]) ** 2)
-        ref = max(g, g1, gt)
-        worst1 = max(worst1, abs(g1 - g) / ref)
-        worst_tau = max(worst_tau, abs(gt - g) / ref)
-
-    return {
-        "E": complex(e),
-        "samples": tuple(samples),
-        "max_shift1_error": worst1,
-        "max_shift_tau_error": worst_tau,
-        "tol": tol,
-        "passed": worst1 <= tol and worst_tau <= tol,
-    }
-
-
-def delta_circle_mean(
-    prob: GLEProblem,
-    center,
-    radius: float,
-    direction: str = "1",
-    npts: int = 16,
-) -> dict:
-    """Mean of Delta over a circle in the E-plane against its center
-    value: the analytic mean value property, a cheap probe that the trace
-    is entire (no branching or poles inside the circle)."""
-    angles = 2.0 * np.pi * np.arange(npts) / npts
-    ring = complex(center) + radius * np.exp(1j * angles)
-    dv = trace_on_grid(prob, ring, direction)
-    dc = trace_on_grid(prob, [center], direction)[0]
-    mean = complex(np.mean(dv))
-    err = abs(mean - dc) / (1.0 + abs(dc))
-    return {
-        "center": complex(center),
-        "radius": float(radius),
-        "npts": int(npts),
-        "mean": mean,
-        "center_value": complex(dc),
-        "relative_error": float(err),
     }

@@ -10,19 +10,16 @@ from tvspec.elliptic import wp
 from tvspec.errors import CheckError, NonConvergenceError, PoleError
 from tvspec.hill import (
     PathPotential,
+    _trace_unitary,
     _transfer_batch,
     at_root,
     commutator_check,
-    delta_circle_mean,
-    developing_map_periodicity,
     dual_torus_exclusion,
-    floquet_pair,
     make_problem,
     monodromy,
     stability_set_1d,
     trace_on_grid,
     unitarity_grid,
-    unitarity_probe,
 )
 from tvspec.spectral import q_via_phi_ansatz, roots_and_classify
 
@@ -63,29 +60,14 @@ def test_batch_matches_single():
 
 
 def test_trace_is_analytic_by_mean_value():
+    # Delta is entire in E: its mean over a circle is its value at the
+    # centre
     prob = problem(1j, (1, 0, 0, 0))
-    res = delta_circle_mean(prob, 1.5 + 0.5j, 0.8)
-    assert res["relative_error"] < 1e-8
-
-
-def test_floquet_pair_consistency():
-    prob = problem(1j, (1, 0, 0, 0))
-    e = 3.0  # inside the finite direction-1 band
-    fp = floquet_pair(prob, e)
-    m1, m2 = fp["multipliers"]
-    r1, r2 = fp["records"]
-    assert abs(m1 + 1.0 / m1 - r1.delta) < 1e-9
-    assert abs(m2 + 1.0 / m2 - r2.delta) < 1e-9
-    assert abs(r1.delta - 2 * cmath.cos(cmath.pi * fp["theta1"])) < 1e-9
-    # direction-1 multiplier on the unit circle inside the band
-    assert abs(abs(m1) - 1.0) < 1e-9
-
-
-def test_floquet_pair_refuses_parabolic_points():
-    prob = problem(1j, (1, 0, 0, 0))
-    e1 = lattice(1j).e1  # band edge: Delta1 = +-2
-    with pytest.raises(CheckError):
-        floquet_pair(prob, complex(e1))
+    center = 1.5 + 0.5j
+    ring = center + 0.8 * np.exp(2j * np.pi * np.arange(16) / 16)
+    mean = np.mean(trace_on_grid(prob, ring))
+    dc = trace_on_grid(prob, [center])[0]
+    assert abs(mean - dc) / (1.0 + abs(dc)) < 1e-8
 
 
 def test_band_structure_of_the_classical_potential():
@@ -279,16 +261,17 @@ def test_dual_torus_exclusion():
 def test_unitarity_probe_and_exclusion_at_real_energies():
     q, roots = _roots(1j, (1, 0, 0, 0))
     prob = problem(1j, (1, 0, 0, 0))
-    # at a branch point the probe flags at_root and is not unitary
-    rec = unitarity_probe(prob, complex(roots[1]), q)
-    assert rec.at_root and not rec.unitary
+    re_values = [float(roots[1].real), 3.0]
+    res = unitarity_grid(prob, q, re_values, [0.0])
+    # at a branch point the grid flags at_root and is not unitary
+    assert res["at_root"][0, 0] and not res["unitary"][0, 0]
     assert at_root(q, complex(roots[1]))
     # inside the direction-1 band but off the roots: never jointly unitary
-    rec = unitarity_probe(prob, 3.0, q)
-    assert not rec.at_root
-    assert abs(rec.delta1.imag) < 1e-8 and abs(rec.delta1.real) < 2.0
-    assert abs(rec.delta2.real) > 2.0
-    assert not rec.unitary
+    d1, d2 = res["delta1"][0, 1], res["delta2"][0, 1]
+    assert not res["at_root"][0, 1]
+    assert abs(d1.imag) < 1e-8 and abs(d1.real) < 2.0
+    assert abs(d2.real) > 2.0
+    assert not res["unitary"][0, 1]
 
 
 def test_unitarity_grid_shapes_and_negative_result():
@@ -302,39 +285,77 @@ def test_unitarity_grid_shapes_and_negative_result():
 
 
 def test_unitarity_grid_agrees_with_the_probe():
+    # the grid agrees point by point with a probe that integrates each
+    # loop on its own and applies the same verdict
     q, roots = _roots(1j, (1, 0, 0, 0))
     prob = problem(1j, (1, 0, 0, 0))
     re_values = [float(roots[1].real), 3.0]
     res = unitarity_grid(prob, q, re_values, [0.0])
     assert np.array_equal(res["at_root"], at_root(q, np.array([re_values])))
     for i, e in enumerate(re_values):
-        rec = unitarity_probe(prob, e, q)
-        assert rec.at_root == res["at_root"][0, i]
-        assert rec.unitary == res["unitary"][0, i]
+        r1, r2 = commutator_check(prob, e)["records"]
+        assert abs(res["delta1"][0, i] - r1.delta) < 1e-9
+        assert abs(res["delta2"][0, i] - r2.delta) < 1e-9
+        assert res["at_root"][0, i] == at_root(q, complex(e))
+        unit = (_trace_unitary(r1.delta, res["tol_im"])
+                and _trace_unitary(r2.delta, res["tol_im"])
+                and not res["at_root"][0, i])
+        assert res["unitary"][0, i] == unit
     assert res["at_root"][0, 0] and not res["at_root"][0, 1]
 
 
-def test_developing_map_refusals():
-    q, roots = _roots(1j, (1, 0, 0, 0))
+@pytest.mark.parametrize("tau, n, re_offsets, im_offset", [
+    (0.5 + 0.9j, (3, 0, 0, 0), [1e-13], 0.0),
+    (1j, (2, 0, 0, 0), [1e-9, 1e-7, 1e-6], 0.0),
+    (1j, (2, 0, 0, 0), [0.0], 1e-7),
+    (1j, (1, 0, 0, 0), [1e-13, 1e-11, 1e-9, 1e-7], 0.0),
+], ids=["n3", "n2_real", "n2_imag", "n1"])
+def test_unitarity_grid_refuses_points_next_to_a_root(tau, n, re_offsets,
+                                                      im_offset):
+    # next to the root E = 0 both traces are +-2 + O(E) while |Q(E)| is
+    # above the residual bound of at_root where Q is steep: such points
+    # are branch points, not unitary energies
+    q, roots = _roots(tau, n)
+    r = roots[np.argmin(np.abs(roots))]
+    res = unitarity_grid(problem(tau, n), q, r.real + np.array(re_offsets),
+                         [r.imag + im_offset])
+    assert np.all(res["at_root"]) and not np.any(res["unitary"])
+
+
+@pytest.mark.parametrize("tau, n, e", [
+    (0.68928318 + 0.72449203j, (2, 0, 0, 0), -14.433837592 + 15.171123500j),
+    (0.5 + 0.9j, (3, 0, 0, 0), -41.1194918 + 0j),
+], ids=["n2", "n3"])
+def test_unitarity_grid_keeps_unitary_energies(tau, n, e):
+    # unitary energies off the roots, with (r, s) of Z^(n)(tau) = 0
+    q, _ = _roots(tau, n)
+    res = unitarity_grid(problem(tau, n), q, [e.real], [e.imag])
+    assert res["unitary"][0, 0] and not res["at_root"][0, 0]
+
+
+def test_floquet_pair_consistency():
     prob = problem(1j, (1, 0, 0, 0))
-    with pytest.raises(CheckError, match="branch point"):
-        developing_map_periodicity(prob, complex(roots[1]), q)
-    with pytest.raises(CheckError, match="not unitary"):
-        developing_map_periodicity(prob, 3.0, q)
-    with pytest.raises(ValueError):
-        developing_map_periodicity(prob, 3.0, q, samples=(0.26,))
+    e = 3.0  # inside the finite direction-1 band
+    r1, r2 = monodromy(prob, e, "1"), monodromy(prob, e, "tau")
+    w, v = np.linalg.eig(r1.matrix)
+    # M2 is diagonal in the eigenframe of M1 (the loops commute); each
+    # multiplier m of a loop solves m + 1/m = Delta
+    d2mat = np.linalg.solve(v, r2.matrix @ v)
+    assert abs(d2mat[0, 1]) + abs(d2mat[1, 0]) < 1e-6
+    for m, delta in ((w[0], r1.delta), (d2mat[0, 0], r2.delta)):
+        assert abs(m + 1.0 / m - delta) < 1e-9
+    assert abs(r1.delta - 2 * cmath.cos(cmath.log(w[0]) / 1j)) < 1e-9
+    # direction-1 multipliers on the unit circle inside the band
+    assert np.all(np.abs(np.abs(w) - 1.0) < 1e-9)
 
 
 def test_direction1_floquet_density_invariance():
     # inside a direction-1 band the |multiplier| is 1, so the frame density
     # G(s) = sum_j |u_j(s)|^2 is invariant under s -> s+1 even though the
     # joint (both-direction) invariance fails; re-integrate to verify
-    q, _ = _roots(1j, (1, 0, 0, 0))
     prob = problem(1j, (1, 0, 0, 0))
     e = 3.0
-    fp = floquet_pair(prob, e)
-    r1, _ = fp["records"]
-    _, v = np.linalg.eig(r1.matrix)
+    _, v = np.linalg.eig(monodromy(prob, e, "1").matrix)
     pot1 = prob.potentials["1"]
     worst = 0.0
     for s in (0.05, 0.4, 0.6, 0.9):
