@@ -14,8 +14,9 @@ Conventions used throughout the package:
 
 A batch of lattices is one LatticeData whose fields are arrays over tau
 (``make_lattice`` of a 1-D array).  The evaluators broadcast against it
-with tau on the last axis of the evaluation points, and each series runs
-until it has truncated on every lattice of the batch.
+with tau on the last axis of the evaluation points.  The theta series
+gives each lattice of the batch the terms it would get alone; the
+Eisenstein series runs until it has truncated on every lattice.
 """
 
 from __future__ import annotations
@@ -96,13 +97,18 @@ def _theta1_block(v, q: complex):
     fixes a safe series length a priori, while the loop still exits early
     once the worst-case next term is below TRUNCATION_TOL * (accumulated
     magnitude).  An array q holds one nome per lattice, matched to the
-    last axis of v; the loop then runs until every lattice has truncated.
+    last axis of v; each lattice stops taking terms once it has truncated
+    (so it gets the terms it would get alone), and the loop runs until
+    every lattice has.  Carrying a truncated lattice on would multiply an
+    underflowed q-power by an overflowed sine, 0 * inf = NaN, on a high
+    lattice batched with a low one.
     """
     v = np.asarray(v, dtype=complex)
     th = np.zeros_like(v)
     th1 = np.zeros_like(v)
     th2 = np.zeros_like(v)
     th3 = np.zeros_like(v)
+    block = (th, th1, th2, th3)
     batch = isinstance(q, np.ndarray)
     absq = abs(q)
     if (np.any(absq >= 1.0) if batch else absq >= 1.0):
@@ -110,6 +116,9 @@ def _theta1_block(v, q: complex):
     logq = np.log(absq)
     im_bound = -logq / (2.0 * np.pi)
     floor = 0.0
+    # batch: the lattices still taking terms, and their slices of v and
+    # the sums; a truncated lattice's sums go back into ``block``
+    cols = np.arange(q.size) if batch else None
     for n in range(_MAX_TERMS):
         a = (2 * n + 1) * np.pi
         coef = 2.0 * (-1) ** n * q ** ((n + 0.5) ** 2)
@@ -125,15 +134,24 @@ def _theta1_block(v, q: complex):
         if batch:
             peak = np.abs(th).reshape(-1, q.size).max(axis=0)
             floor = np.maximum(floor, peak)
-            done = np.all(bound < TRUNCATION_TOL * np.maximum(floor, 1e-300))
+            done = bound < TRUNCATION_TOL * np.maximum(floor, 1e-300)
+            if n >= 1 and np.any(done):
+                for full, part in zip(block, (th, th1, th2, th3)):
+                    full[..., cols[done]] = part[..., done]
+                keep = ~done
+                if not np.any(keep):
+                    break
+                cols, q, logq, im_bound, floor = (
+                    x[keep] for x in (cols, q, logq, im_bound, floor))
+                v, th, th1, th2, th3 = (
+                    x[..., keep] for x in (v, th, th1, th2, th3))
         else:
             floor = max(floor, float(np.max(np.abs(th))))
-            done = bound < TRUNCATION_TOL * max(floor, 1e-300)
-        if n >= 1 and done:
-            break
+            if n >= 1 and bound < TRUNCATION_TOL * max(floor, 1e-300):
+                break
     else:
         raise NonConvergenceError("theta1 series did not truncate")
-    return th, th1, th2, th3
+    return block
 
 
 def _split_lattice_coords(z, tau: complex):
@@ -165,7 +183,7 @@ def make_lattice(tau) -> LatticeData:
     each series; the evaluators then take points with tau on their last
     axis (a point array of shape (len(tau),) puts one point on each
     lattice), so ``z_n(make_lattice(taus), r, s, n)`` is Z^(n)_{r,s} at
-    every tau.  A lattice in a batch may get a few series terms below
+    every tau.  A lattice in a batch may get a few Eisenstein terms below
     TRUNCATION_TOL that it would not get alone.
 
     Raises ValueError unless every tau is finite with Im tau > 0.

@@ -236,6 +236,10 @@ def boundary_nonvanishing_scan(
 
 _FIRST_CHORD = 1e-6   # the first secant runs from the seed to seed + this
 _MAX_ITER = 60
+# a run ends once |Re tau - 1/2| exceeds this: F0 lies in 0 <= Re tau <= 1
+# and a step is at most 0.5 long, so the strip -1/2 <= Re tau <= 3/2
+# leaves one full step of margin on each side
+_STRIP_HALF_WIDTH = 1.0
 # the multi-start seed lattice, Re outer and Im inner: `zero-find-multi
 # --seed` draws its jitter in this order
 SEED_LATTICE = tuple(x + 1j * y for x in (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -247,15 +251,22 @@ def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
     at once.  Each step builds one batch of lattices, one per run still
     live (the first step also holds each seed + 1e-6, the end of the first
     chord), and every run keeps its own rules: at most 60 steps, each
-    clipped to length 0.5; an exit once Im tau < 0.02 and on a vanishing
-    chord slope; converged once |Z| < tol and the last |step| < tol.
+    clipped to length 0.5; an exit once Im tau < 0.02, an exit once the
+    iterate leaves the strip -1/2 <= Re tau <= 3/2 (F0 with one full step
+    of margin on each side: such runs drift toward a real cusp and cannot
+    end in F0), and an exit on a vanishing chord slope; converged once
+    |Z| < tol and the last |step| < tol.
 
     Returns one dict per seed, in order -- a converged run's tau_zero,
     residual, F0 location and iterations, or a failed run's error message
     and the iteration it stopped at -- and the diagnostics of the batch:
     lattices built, batched steps and the largest iteration count.
-    Raises ValueError unless tol is finite and positive (no start could
-    converge otherwise) and every seed lies in the upper half plane."""
+    Raises NonConvergenceError, naming tau, |Z| and tol, when a run's
+    step no longer moves tau while |Z| is still above tol: there may be a
+    zero that the run cannot resolve, so that run must not count as a
+    failure.  Raises ValueError unless tol is finite and positive (no
+    start could converge otherwise) and every seed lies in the upper half
+    plane."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     start = np.array([complex(x) for x in seeds], dtype=complex)
@@ -278,6 +289,11 @@ def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
             fail(i, it, f"iteration {it} left the usable half plane at "
                         f"{complex(t[i]):.6g}")
         live = live[~low]
+        away = np.abs(t[live].real - 0.5) > _STRIP_HALF_WIDTH
+        for i in live[away]:
+            fail(i, it, f"iteration {it} left the strip -1/2 <= Re tau <= 3/2 "
+                        f"at {complex(t[i]):.6g}")
+        live = live[~away]
         if live.size == 0:
             break
         batch = t[live]
@@ -302,7 +318,15 @@ def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
                 "iterations": it,
             }
         live, val = live[~done], val[~done]
-        der = (val - val_prev[live]) / (t[live] - t_prev[live])
+        chord = t[live] - t_prev[live]
+        if np.any(chord == 0):
+            i = live[chord == 0][0]
+            raise NonConvergenceError(
+                f"secant run from seed {complex(start[i]):.4g} stalled at "
+                f"iteration {it}: its step no longer moves tau = "
+                f"{complex(t[i]):.10g}, where |Z| = {last_abs[i]:.3g} is "
+                f"above tol {tol:g}")
+        der = (val - val_prev[live]) / chord
         flat = np.abs(der) < 1e-14 * (1.0 + np.abs(val))
         for i in live[flat]:
             fail(i, it, "derivative underflow in secant step at "
@@ -337,11 +361,13 @@ def zero_find(
     slope is that of the chord through the previous iterate (the first
     chord ends at seed + 1e-6), so each step builds one lattice.  It is
     the lockstep iteration of zero_find_multi run on this seed alone.
-    Converged means |Z| < tol and |step| < tol; divergence, half-plane and
-    slope-underflow exits raise NonConvergenceError naming the iteration
-    they stopped at.  The returned F0 location tells whether the zero
-    counts (interior) or not.  Raises ValueError unless tol is finite and
-    positive and the seed lies in the upper half plane."""
+    Converged means |Z| < tol and |step| < tol; the budget, half-plane,
+    strip (-1/2 <= Re tau <= 3/2) and slope-underflow exits raise
+    NonConvergenceError naming the iteration they stopped at, and so does
+    a step that no longer moves tau.  The returned F0 location tells
+    whether the zero counts (interior) or not.  Raises ValueError unless
+    tol is finite and positive and the seed lies in the upper half
+    plane."""
     (run,), _ = _secant_lockstep(n, r, s, [seed_tau], tol)
     if not run["converged"]:
         raise NonConvergenceError(run["error"])
@@ -359,10 +385,13 @@ def zero_find_multi(
     (default seeds: the SEED_LATTICE points inside F0), one batch of
     lattices per step, collecting the distinct interior zeros
     (deduplicated at 1e-6).  Used to claim absence: every start either
-    fails to converge or lands outside the interior.  Each run records
-    its seed and iterations, a failed run its error; "diagnostics" counts
-    the lattices built, the batched steps and the largest iteration
-    count."""
+    fails to converge or lands outside the interior.  A run fails on the
+    60-step budget, below Im tau = 0.02, outside the strip
+    -1/2 <= Re tau <= 3/2 or on a vanishing slope; a run whose step no
+    longer moves tau while |Z| >= tol raises NonConvergenceError for the
+    whole call, since it may sit at a zero.  Each run records its seed
+    and iterations, a failed run its error; "diagnostics" counts the
+    lattices built, the batched steps and the largest iteration count."""
     if seeds is None:
         seeds = [t for t in SEED_LATTICE if classify_f0(t).inside]
     seeds = [complex(t) for t in seeds]

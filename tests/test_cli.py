@@ -370,6 +370,21 @@ def test_zero_find_multi_reports_runs_and_diagnostics(capsys):
     assert 0 < diag["batched_steps"] <= 60 < diag["lattices"]
 
 
+def test_zero_find_multi_former_crashes_answer(capsys):
+    # a run stalled short of tol: its zero-length chord sent tau to NaN,
+    # reported as a usage error; Z^(4) has zeros in F0 at this (r, s)
+    code, _, err = run(capsys, "premodular", "--op", "zero-find-multi",
+                       "--n", "4", "--rs", "0.15,0.15")
+    assert code == 3
+    assert "stalled" in err and "|Z| = " in err and "tol 1e-10" in err
+    # a run bound for the real cusp 4 stalled the same way there; it now
+    # ends at iteration 3, when it leaves the strip around F0
+    code, out, _ = run(capsys, "premodular", "--op", "zero-find-multi",
+                       "--n", "2", "--rs", "0.6,0.1", "--seed", "11")
+    assert code == 0
+    assert json.loads(out)["any_interior_zero"] is True
+
+
 def test_premodular_rejects_tuple_n(capsys):
     assert run(capsys, "premodular", "--op", "eval", "--n", "1,0,0,1",
                "--rs", "0.3,0.2", "--tau", "0+1i")[0] == 1

@@ -267,7 +267,7 @@ def test_lattice_batch_matches_lattices_alone():
         for name, scale in scales.items():
             got, want = getattr(B, name)[i], getattr(L, name)
             if abs(got - want) > 1e-13 * scale:
-                # In the batch a lattice may get series terms below
+                # In the batch a lattice may get Eisenstein terms below
                 # TRUNCATION_TOL that it does not get alone, and the
                 # nome's powers round differently.  Near the cusps 0 and 1
                 # at Im tau ~ 0.05, where the kernel itself is only good to
@@ -277,6 +277,20 @@ def test_lattice_batch_matches_lattices_alone():
                 ref = ref or lattice_ref(complex(tau))
                 assert abs(got - ref[name]) <= 2 * abs(want - ref[name]), \
                     (tau, name)
+
+
+def test_lattice_batch_of_a_high_and_a_low_lattice():
+    # the Im tau = 14 lattice truncates after two theta terms; carried on
+    # to the low lattice's term count, its q-power underflows to 0 while
+    # the sine overflows, and 0 * inf poisoned the batch with NaN
+    taus = np.array([0.5 + 0.0535j, 0.5 + 14j])
+    B = make_lattice(taus)
+    for i, tau in enumerate(taus):
+        L = make_lattice(complex(tau))
+        for name in ("q", "e1", "e2", "e3", "g2", "g3", "eta1", "eta2"):
+            want = getattr(L, name)
+            assert abs(getattr(B, name)[i] - want) <= 1e-14 * abs(want), \
+                (tau, name)
 
 
 def test_z_n_over_a_lattice_batch_matches_lattices_alone():

@@ -162,7 +162,7 @@ def test_zero_find_multi_steps_all_starts_in_lockstep(monkeypatch):
     def steps(run):
         # a run evaluates Z at iterations 0 .. k when it converges or its
         # slope vanishes at iteration k; at 0 .. k-1 when it leaves the
-        # half plane at k or uses up the budget (k = 60)
+        # half plane or the strip at k or uses up the budget (k = 60)
         stays = run["converged"] or "underflow" in run["error"]
         return run["iterations"] + stays
 
@@ -190,8 +190,9 @@ def test_zero_find_is_one_run_of_zero_find_multi(n, r, s, interior_runs):
             alone = zero_find(n, r, s, run["seed"])
         except NonConvergenceError:
             alone = {}
-        # in a batch a lattice may get series terms below TRUNCATION_TOL
-        # that it does not get alone; a run that drifts toward a cusp,
+        # in a batch a lattice may get Eisenstein terms below
+        # TRUNCATION_TOL that it does not get alone; a run that drifts
+        # toward a cusp,
         # where |Z| ~ 1e-11, may then end differently, but a run that
         # ends at an interior zero ends there in both
         if "interior" in (run.get("location"), alone.get("location")):
@@ -207,9 +208,62 @@ def test_zero_find_failure_modes():
         zero_find(1, 0.3, 0.3, 0.5 - 1j)
     with pytest.raises(ValueError, match="upper half plane"):
         zero_find_multi(1, 0.3, 0.3, seeds=[0.5 + 1j, 0.5 - 1j])
-    # iterates chase the cusp: |Z| decays but tau runs off
-    with pytest.raises(NonConvergenceError, match="within 60 iterations"):
+    # iterates chase a real cusp: |Z| decays but tau runs off the strip
+    # around F0
+    with pytest.raises(NonConvergenceError, match=(
+            r"iteration 2 left the strip -1/2 <= Re tau <= 3/2 at -0\.61")):
         zero_find(1, 0.6, 0.1, 0.3 + 1.5j)
+    # iterates hover near the cusp 1/2, inside the strip, until the budget
+    with pytest.raises(NonConvergenceError, match="within 60 iterations"):
+        zero_find(2, 0.4, 0.2, 0.5 + 0.3j)
+
+
+@pytest.mark.parametrize("r,s,zero", [(0.15, 0.15, True), (0.3, 0.3, False)])
+def test_zero_find_multi_ends_runs_that_leave_the_strip(r, s, zero):
+    # every default start that fails drifts toward a real cusp and ends at
+    # the strip edge, after 18 and 12 batched steps where all 60 were used
+    res = zero_find_multi(2, r, s)
+    assert res["any_interior_zero"] is zero
+    assert res["diagnostics"]["batched_steps"] <= 25
+    for run in res["runs"]:
+        if not run["converged"]:
+            assert "left the strip -1/2 <= Re tau <= 3/2" in run["error"]
+            loc = complex(run["error"].rsplit(" at ", 1)[1])
+            assert abs(loc.real - 0.5) > 1.0
+
+
+@pytest.mark.parametrize("n,r,s,tau", [
+    (1, 0.3, 0.3, 0.5959676 + 0.8030084j),
+    (1, 0.7, 0.7, 0.5959676 + 0.8030084j),
+    (2, 0.15, 0.15, 0.6892832 + 0.7244920j),
+    (2, 0.85, 0.85, 0.6892832 + 0.7244920j),
+    (3, 0.24318861, 0.51362278, 0.5 + 0.9j),
+])
+def test_zero_find_multi_finds_the_controls(n, r, s, tau):
+    # the (r, s) zeros of Z^(n) found at fixed tau by a 2-D grid search,
+    # found again as the one interior zero in tau
+    res = zero_find_multi(n, r, s)
+    (zero,) = res["interior_zeros"]
+    assert abs(zero - tau) < 1e-6
+
+
+def test_zero_find_multi_answers_where_a_batch_went_nan():
+    # a start that climbs to Im tau ~ 14 shared batches with starts near
+    # Im tau ~ 0.05, and the theta series of its lattice turned to NaN;
+    # the winding of Z^(2) along the boundary of F0 (cut at Im tau = 3
+    # and by the horocycles of height 3 at 0 and 1) counts no zero
+    res = zero_find_multi(2, 0.4, 0.2)
+    assert res["any_interior_zero"] is False
+    assert all(run["iterations"] > 0 for run in res["runs"])
+
+
+def test_stalled_secant_run_is_nonconvergence_not_absence():
+    # one run stops moving at tau ~ 0.70435+1.15014i with |Z| ~ 1e-8 above
+    # tol (the terms of z_4 are ~1e4 there), and Z^(4) has zeros in F0 at
+    # this (r, s), so the call must not report absence
+    with pytest.raises(NonConvergenceError,
+                       match=r"stalled .* tau = 0\.70435.*above tol 1e-10"):
+        zero_find_multi(4, 0.15, 0.15)
 
 
 def test_zero_find_exits_name_their_iteration(monkeypatch):
