@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Real-axis band structure for one multiplicity tuple on a rectangular
-lattice, with the bisected band edges lined up against the roots of the
+lattice, with the refined band edges lined up against the roots of the
 spectral polynomial.
 
 Usage:

@@ -344,6 +344,10 @@ def cmd_bands(args) -> int:
         ],
         "finite_edges": list(bands.finite_edges),
         "max_im_delta": bands.max_im_delta,
+        "diagnostics": {
+            "magnus_steps": bands.magnus_steps,
+            "trace_calls": bands.trace_calls,
+        },
     }
     d = bands.deltas
     emit(payload, {
@@ -375,6 +379,7 @@ def cmd_unitary(args) -> int:
         "unitary_count": int(np.sum(res["unitary"])),
         "at_root_count": int(np.sum(res["at_root"])),
         "any_unitary": bool(np.any(res["unitary"])),
+        "diagnostics": {"magnus_steps": res["magnus_steps"]},
     }
     im_grid, re_grid = np.meshgrid(im_vals, re_vals, indexing="ij")
     emit(payload, {

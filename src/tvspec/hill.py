@@ -8,22 +8,22 @@ With the state (y, dy/dz) the transfer matrices M1 (period 1) and M2
 entire in E.  On top of the raw integrator this module provides:
 
 * real-axis stability sets {E : Delta real, |Delta| <= 2} with band
-  edges bisected all together, one batched determinant-checked trace per
-  step;
+  edges refined all together by Illinois regula falsi, one batched
+  determinant-checked trace per step;
 * a two-torus intersection probe (the same potential transported to the
   lattice of -1/tau shares only the spectral-curve branch points);
 * the unitarity of the monodromy representation on a complex E grid:
   both traces real in [-2, 2] at a point that is not a branch point.
 
-Integration is a fixed-node 4th-order Magnus method: V is sampled at the
-two Gauss nodes of every step, straight from the theta kernel, each step
-is the closed-form exponential of a traceless 2x2 matrix, and the ordered
-product is reduced pairwise in blocks, for a batch of energies at once.
-V does not depend on E, so each loop keeps its samples per interval end
-and step count (t_end, steps) and every later trace on the problem
-reuses them: a band-edge refinement samples each node set once, not once
-per halving.  The step count starts at 2048 and doubles until the
-step-doubling estimate max |M_N - M_(N/2)| / 15 meets
+Integration is a fixed-node 6th-order Magnus method: V is sampled at the
+three Gauss nodes of every step, straight from the theta kernel, each
+step is the closed-form exponential of a traceless 2x2 matrix, and the
+ordered product is reduced pairwise in blocks, for a batch of energies
+at once.  V does not depend on E, so each loop keeps its samples per
+interval end and step count (t_end, steps) and every later trace on the
+problem reuses them: a band-edge refinement samples each node set once,
+not once per step.  The step count starts at 256 and doubles until the
+step-doubling estimate max |M_N - M_(N/2)| / 63 meets
 atol + rtol max |M_N| at every energy of the batch, so the energies of a
 batch share one step count (batch results agree with one-at-a-time
 integration within the tolerances; all quantities compared against them
@@ -112,20 +112,23 @@ class PathPotential:
         self.omega = complex(omega)
         self.clearance = _check_clearance(L, self.n, self.z0, self.omega)
         self._nodes = {}
+        self.last_steps = 0  # Magnus step count of the latest batch
 
     def __call__(self, t):
         z = self.z0 + np.asarray(t, dtype=float) * self.omega
         return _potential(self.L, self.n, z)
 
     def nodes(self, t_end: float, steps: int):
-        """(V1, V2): V at the Gauss nodes t_j -+ (sqrt(3)/6) h of the
-        ``steps`` equal steps h = t_end / steps, one call per node set on
+        """(V1, V2, V3): V at the Gauss nodes t_j - (sqrt(15)/10) h, t_j
+        and t_j + (sqrt(15)/10) h of the ``steps`` equal steps
+        h = t_end / steps with midpoints t_j, one call per node set on
         first use; later calls return the same read-only arrays."""
         key = (t_end, steps)
         if key not in self._nodes:
             h = t_end / steps
             mid = (np.arange(steps) + 0.5) * h
-            samples = (self(mid - _GAUSS * h), self(mid + _GAUSS * h))
+            samples = (self(mid - _GAUSS * h), self(mid),
+                       self(mid + _GAUSS * h))
             for v in samples:
                 v.flags.writeable = False
             self._nodes[key] = samples
@@ -173,18 +176,26 @@ def make_problem(
 #
 # Along z = z0 + t*omega the state Y = (y, dy/dz) obeys Y' = A(t) Y with
 # A = [[0, omega], [omega (V + E), 0]].  A Magnus step of size h samples A
-# at the Gauss nodes t_j -+ (sqrt(3)/6) h of its interval:
-#     Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1]
-#           = [[c, h omega], [h omega (Vbar + E), -c]],
-# Vbar = (V1 + V2)/2, c = (sqrt(3)/12) (h omega)^2 (V1 - V2); the commutator
-# term does not depend on E.  Omega is traceless, so Omega^2 = mu^2 I with
-# mu^2 = c^2 + (h omega)^2 (Vbar + E), and exp(Omega) = C(mu^2) I +
+# at the Gauss nodes t_j - g h, t_j, t_j + g h of its interval,
+# g = sqrt(15)/10, and takes the 6th-order exponent (Blanes, Casas, Oteo &
+# Ros 2009, sec. 4; Iserles & Norsett 1999)
+#     a1 = h A2,  a2 = (sqrt(15) h/3)(A3 - A1),  a3 = (10 h/3)(A3 - 2 A2 + A1),
+#     C1 = [a1, a2],  C2 = -(1/60) [a1, 2 a3 + C1],
+#     Omega = a1 + a3/12 + (1/240) [-20 a1 - a3 + C1, a2 + C2].
+# With a = h omega, b2 = (sqrt(15)/3) a (V3 - V1) and
+# b3 = (10/3) a (V3 - 2 V2 + V1) (a2 and a3 do not depend on E), this is
+#     Omega = [[d, p], [r, -d]],  d = d0 + d1 E,  r = r0 + r1 E,
+#     d0 = a b2 (40 a^2 V2 + a b3 - 600) / 7200,  d1 = a^3 b2 / 180,
+#     p = a + a^2 (a b2^2 - 20 b3) / 3600,
+#     r1 = a + a^2 (a b2^2 + 20 b3) / 3600,
+#     r0 = r1 V2 + b3/12 + a (b3^2 - 30 b2^2) / 3600,
+# with every coefficient free of E.  Omega is traceless, so
+# Omega^2 = mu^2 I with mu^2 = d^2 + p r, and exp(Omega) = C(mu^2) I +
 # S(mu^2) Omega, where C and S are the even series of cosh(mu) and
-# sinh(mu)/mu.  The step is 4th order (Iserles & Norsett 1999;
-# Blanes, Casas, Oteo & Ros 2009).
+# sinh(mu)/mu.
 
-_GAUSS = math.sqrt(3.0) / 6.0
-_STEPS_START = 2048      # first step count tried (a power of two)
+_GAUSS = math.sqrt(15.0) / 10.0
+_STEPS_START = 256       # first step count tried (a power of two)
 _STEPS_MAX = 2 ** 16     # step doubling gives up past this count
 _BLOCK = 4096            # (energy x step) pairs per block of step matrices
 _TERMS = 6
@@ -214,35 +225,42 @@ def _magnus_product(pot: PathPotential, e, t_end, steps):
     """Ordered product of ``steps`` equal Magnus steps along ``pot`` over
     [0, t_end] for each energy of the 1-d array ``e``, shape
     (len(e), 2, 2); None when some |mu^2| exceeds _MU2_MAX."""
-    v1, v2 = pot.nodes(t_end, steps)
-    hw = (t_end / steps) * pot.omega
-    c = (math.sqrt(3.0) / 12.0) * hw * hw * (v1 - v2)
-    c2 = c * c
-    hwv = hw * (0.5 * (v1 + v2))
-    hwe = hw * e
-    mu2_bound = np.max(np.abs(c2 + hw * hwv)) + abs(hw) * np.max(np.abs(hwe))
+    v1, v2, v3 = pot.nodes(t_end, steps)
+    a = (t_end / steps) * pot.omega
+    b2 = (math.sqrt(15.0) / 3.0) * a * (v3 - v1)
+    b3 = (10.0 / 3.0) * a * (v3 - 2.0 * v2 + v1)
+    ab22 = a * b2 * b2
+    d0 = a * b2 * (40.0 * a * a * v2 + a * b3 - 600.0) / 7200.0
+    d1 = a ** 3 * b2 / 180.0
+    p = a + a * a * (ab22 - 20.0 * b3) / 3600.0
+    r1 = a + a * a * (ab22 + 20.0 * b3) / 3600.0
+    r0 = r1 * v2 + b3 / 12.0 + (a * b3 * b3 - 30.0 * ab22) / 3600.0
+    e_abs = np.max(np.abs(e))
+    mu2_bound = np.max((np.abs(d0) + np.abs(d1) * e_abs) ** 2
+                       + np.abs(p) * (np.abs(r0) + np.abs(r1) * e_abs))
     if not mu2_bound <= _MU2_MAX:
         return None
 
     out = np.empty((len(e), 2, 2), dtype=complex)
     for lo in range(0, len(e), _BLOCK):
-        q_e = hwe[lo:lo + _BLOCK, None]
+        e_blk = e[lo:lo + _BLOCK, None]
         # a power of two, so the pairwise reduction halves evenly
-        width = min(steps, 1 << ((_BLOCK // len(q_e)).bit_length() - 1))
+        width = min(steps, 1 << ((_BLOCK // len(e_blk)).bit_length() - 1))
         prod = (1.0, 0.0, 0.0, 1.0)
         for s in range(0, steps, width):
             blk = slice(s, s + width)
-            q = hwv[blk] + q_e            # h omega (Vbar + E)
-            x = c2[blk] + hw * q          # mu^2
+            d = d0[blk] + d1[blk] * e_blk
+            r = r0[blk] + r1[blk] * e_blk
+            x = d * d + p[blk] * r        # mu^2
             cc = _series(x, _COSH)
             ss = _series(x, _SINH)
-            sc = ss * c[blk]
-            m = (cc + sc, ss * hw, ss * q, cc - sc)
+            sd = ss * d
+            m = (cc + sd, ss * p[blk], ss * r, cc - sd)
             while m[0].shape[1] > 1:      # later steps multiply from the left
-                m = _mul([a[:, 1::2] for a in m], [a[:, 0::2] for a in m])
+                m = _mul([q[:, 1::2] for q in m], [q[:, 0::2] for q in m])
             prod = _mul(m, prod)
         for i, entry in enumerate(prod):
-            out[lo:lo + len(q_e), i // 2, i % 2] = entry[:, 0]
+            out[lo:lo + len(e_blk), i // 2, i % 2] = entry[:, 0]
     return out
 
 
@@ -250,16 +268,19 @@ def _transfer_batch(pot: PathPotential, e_values, t_end, rtol, atol):
     """Fundamental matrices Y(t_end) with Y(0)=I along ``pot`` for a batch
     of energies; state rows are (y, dy/dz).  The step count N doubles from
     _STEPS_START until every energy has
-    max_ij |M_N - M_(N/2)| / 15 <= atol + rtol max_ij |M_N|."""
+    max_ij |M_N - M_(N/2)| / 63 <= atol + rtol max_ij |M_N|
+    (the step is 6th order, so halving h divides the error by 2^6 = 64).
+    ``pot.last_steps`` records the N the batch stopped at."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
     steps = _STEPS_START
     coarse = _magnus_product(pot, e, t_end, steps // 2)
     while steps <= _STEPS_MAX:
         fine = _magnus_product(pot, e, t_end, steps)
         if coarse is not None and fine is not None:
-            est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 15.0
+            est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
             scale = np.max(np.abs(fine), axis=(1, 2))
             if np.all(est <= atol + rtol * scale):
+                pot.last_steps = steps
                 return fine
         coarse = fine
         steps *= 2
@@ -357,6 +378,8 @@ class BandStructure:
     edge_tol: float
     energies: np.ndarray = field(repr=False, compare=False)  # the grid
     deltas: np.ndarray = field(repr=False, compare=False)    # Delta on it
+    magnus_steps: int     # largest Magnus step count of the traces
+    trace_calls: int      # batched traces: the grid and each refinement step
 
     @property
     def finite_edges(self) -> tuple:
@@ -369,7 +392,7 @@ class BandStructure:
         return tuple(sorted(out))
 
 
-_EDGE_HALVINGS = 200     # bisection budget per stability_set_1d call
+_EDGE_STEPS = 200        # refinement budget per stability_set_1d call
 
 
 def stability_set_1d(
@@ -381,29 +404,40 @@ def stability_set_1d(
     edge_tol: float = 1e-8,
     im_tol: float = 1e-6,
 ) -> BandStructure:
-    """Real-axis stability set {E : |Re Delta(E)| <= 2} with bisection-
-    refined band edges.  Delta is checked to be real (relative im_tol) on
-    the whole grid; bands truncated by the grid are flagged open.  Bands
-    narrower than the grid spacing can be missed; choose num accordingly.
+    """Real-axis stability set {E : |Re Delta(E)| <= 2} with refined band
+    edges.  Delta is checked to be real (relative im_tol) on the whole
+    grid; bands truncated by the grid are flagged open.  Bands narrower
+    than the grid spacing can be missed; choose num accordingly.
 
     Every grid cell where the stability flag flips brackets one edge by a
-    point outside the band and one inside.  All brackets are halved
+    point outside the band and one inside.  All brackets are refined
     together, one batched determinant-checked trace per step, until each
-    is within edge_tol (at most 200 halvings).  Orientation comes from the
-    roles, not from re-sampled signs, so an edge that sits on a grid point
-    (trace equal to +-2 within integrator noise) still converges to that
-    point instead of drifting across the cell.  edge_tol and im_tol must
-    be finite and positive (ValueError).  A bracket that cannot reach
-    edge_tol raises NonConvergenceError with the width it reached: at once
-    when its midpoint rounds to one of its ends (edge_tol below the float
-    spacing at the edge), or when the 200 halvings run out."""
+    is within edge_tol (at most 200 steps).  A step is Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) on g = sgn Re Delta - 2, with
+    sgn the sign of Re Delta at the outer end: the point where the chord
+    of g between the two ends crosses zero, the g of an end kept twice in
+    a row halved, the midpoint when the chord leaves the bracket, and the
+    point kept edge_tol/2 inside both ends, so a point that lands next to
+    the edge is followed by one just across it.  The ends' g come from the
+    grid traces.  Orientation comes from the roles, not from
+    re-sampled signs, so an edge that sits on a grid point (trace equal to
+    +-2 within integrator noise) still converges to that point instead of
+    drifting across the cell.  edge_tol and im_tol must be finite and
+    positive (ValueError).  A bracket that cannot reach edge_tol raises
+    NonConvergenceError with the width it reached: at once when its next
+    point rounds to one of its ends (edge_tol below the float spacing at
+    the edge), or when the 200 steps run out.  ``magnus_steps`` is the
+    largest Magnus step count of the call and ``trace_calls`` the number
+    of batched traces."""
     _check_tolerances(edge_tol=edge_tol, im_tol=im_tol)
     if not (math.isfinite(e_min) and math.isfinite(e_max) and e_min < e_max):
         raise ValueError(
             f"energy window needs finite e_min < e_max, got {e_min!r}, {e_max!r}"
         )
+    pot = prob.potentials[direction]
     grid = np.linspace(float(e_min), float(e_max), int(num))
     deltas = trace_on_grid(prob, grid, direction)
+    magnus_steps = pot.last_steps
     max_im = float(np.max(np.abs(deltas.imag) / (1.0 + np.abs(deltas))))
     if max_im > im_tol:
         raise CheckError(
@@ -414,28 +448,46 @@ def stability_set_1d(
 
     flips = np.flatnonzero(inside[1:] != inside[:-1])
     left_in = inside[flips]
-    e_in = np.where(left_in, grid[flips], grid[flips + 1])
-    e_out = np.where(left_in, grid[flips + 1], grid[flips])
-    for halvings in range(_EDGE_HALVINGS + 1):
+    i_in = np.where(left_in, flips, flips + 1)
+    i_out = np.where(left_in, flips + 1, flips)
+    e_in, e_out = grid[i_in], grid[i_out]
+    sgn = np.sign(deltas.real[i_out])
+    g_in = sgn * deltas.real[i_in] - 2.0     # <= 0
+    g_out = sgn * deltas.real[i_out] - 2.0   # > 0
+    moved = np.zeros(len(flips), dtype=np.int8)  # end moved last: 1 in, -1 out
+    for step in range(_EDGE_STEPS + 1):
         act = np.flatnonzero(np.abs(e_in - e_out) > edge_tol)
         if act.size == 0:
             break
-        width = np.abs(e_in[act] - e_out[act])
-        if halvings == _EDGE_HALVINGS:
+        a_in, a_out = e_in[act], e_out[act]
+        width = np.abs(a_in - a_out)
+        if step == _EDGE_STEPS:
             raise NonConvergenceError(
                 f"band-edge bracket still {np.max(width):.3g} wide after "
-                f"{_EDGE_HALVINGS} halvings, above edge_tol={edge_tol:g}"
+                f"{_EDGE_STEPS} steps, above edge_tol={edge_tol:g}"
             )
-        mid = 0.5 * (e_out[act] + e_in[act])
-        stalled = (mid == e_in[act]) | (mid == e_out[act])
+        lo, hi = np.minimum(a_in, a_out), np.maximum(a_in, a_out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = ((a_in * g_out[act] - a_out * g_in[act])
+                 / (g_out[act] - g_in[act]))
+        x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+        x = np.clip(x, lo + 0.5 * edge_tol, hi - 0.5 * edge_tol)
+        stalled = (x == a_in) | (x == a_out)
         if np.any(stalled):
             raise NonConvergenceError(
                 f"band-edge bracket stalled at {np.max(width[stalled]):.3g} "
                 f"wide (adjacent floats), above edge_tol={edge_tol:g}"
             )
-        hit = np.abs(trace_on_grid(prob, mid, direction).real) <= 2.0
-        e_in[act[hit]] = mid[hit]
-        e_out[act[~hit]] = mid[~hit]
+        re = trace_on_grid(prob, x, direction).real
+        magnus_steps = max(magnus_steps, pot.last_steps)
+        hit = np.abs(re) <= 2.0
+        g = sgn[act] * re - 2.0
+        # Illinois: the end that stays put a second time has its g halved
+        g_out[act[hit & (moved[act] == 1)]] *= 0.5
+        g_in[act[~hit & (moved[act] == -1)]] *= 0.5
+        e_in[act[hit]], g_in[act[hit]] = x[hit], g[hit]
+        e_out[act[~hit]], g_out[act[~hit]] = x[~hit], g[~hit]
+        moved[act] = np.where(hit, 1, -1)
 
     # edges alternate band entry / band exit in grid order; the grid ends
     # close the bands that run past them
@@ -459,6 +511,8 @@ def stability_set_1d(
         edge_tol=edge_tol,
         energies=grid,
         deltas=deltas,
+        magnus_steps=magnus_steps,
+        trace_calls=1 + step,
     )
 
 
@@ -570,7 +624,8 @@ def unitarity_grid(
     points: ``at_root`` holds, or both traces are +-2 within
     |Delta^2 - 4| <= 16 tol_im.  Both traces are +-2 at every root of Q,
     and next to a root where Q is steep the residual test of ``at_root``
-    misses.  tol_im must be finite and positive (ValueError)."""
+    misses.  "magnus_steps" maps each loop to the Magnus step count its
+    batch needed.  tol_im must be finite and positive (ValueError)."""
     _check_tolerances(tol_im=tol_im)
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
@@ -591,4 +646,6 @@ def unitarity_grid(
         "at_root": rootmask,
         "unitary": unitary,
         "tol_im": tol_im,
+        "magnus_steps": {d: pot.last_steps
+                         for d, pot in prob.potentials.items()},
     }

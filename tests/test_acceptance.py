@@ -201,7 +201,7 @@ def test_08_band_edges_equal_polynomial_roots():
     edge_err = (np.max(np.abs(np.sort(edges) - roots))
                 if len(edges) == len(roots) else np.inf)
     ok = semi == 1 and edge_err < 1e-5
-    _report(8, "bisected band edges reproduce the 5 sorted roots", ok,
+    _report(8, "refined band edges reproduce the 5 sorted roots", ok,
             f"{len(edges)} edges, {semi} semi-infinite band, "
             f"max edge error {edge_err:.2e}")
 

@@ -284,6 +284,8 @@ def test_bands_payload(capsys):
     assert abs(second["lo"] - L.e3.real) < 1e-5
     assert abs(second["hi"] - L.e1.real) < 1e-5
     assert len(doc["rows"]) == 161
+    assert doc["diagnostics"]["magnus_steps"] == 256
+    assert 2 <= doc["diagnostics"]["trace_calls"] <= 1 + 8
 
 
 def test_bands_rows_are_the_grid_traces(capsys):
@@ -331,6 +333,7 @@ def test_unitary_grid_negative(capsys):
     assert doc["points"] == 15
     assert doc["any_unitary"] is False
     assert len(doc["rows"]) == 15
+    assert doc["diagnostics"] == {"magnus_steps": {"1": 256, "tau": 256}}
 
 
 def test_premodular_eval_matches_library(capsys):

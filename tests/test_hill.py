@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvspec import hill
-from tvspec.elliptic import wp
+from tvspec.elliptic import wp, zeta_w
 from tvspec.errors import CheckError, NonConvergenceError, PoleError
 from tvspec.hill import (
     PathPotential,
@@ -84,8 +84,9 @@ def test_band_structure_of_the_classical_potential():
     assert abs(second.hi - L.e1.real) < 1e-6
 
 
-def test_edges_are_bisected_together(monkeypatch):
-    # one grid pass plus one batched trace per halving, however many edges
+def test_edges_are_refined_together(monkeypatch):
+    # one grid pass plus one batched trace per regula falsi step, however
+    # many edges; a converged bracket leaves the batch
     calls = []
     real = hill.trace_on_grid
 
@@ -94,14 +95,15 @@ def test_edges_are_bisected_together(monkeypatch):
         return real(prob, e_values, direction)
 
     monkeypatch.setattr(hill, "trace_on_grid", counting)
-    h, tol = 60.0 / 1200, 1e-8
-    halvings = math.ceil(math.log2(h / tol))
     for n, edges in (((1, 0, 0, 0), 3), ((2, 0, 0, 0), 5)):
         calls.clear()
         bs = stability_set_1d(problem(1j, n), -30.0, 30.0, num=1201,
-                              edge_tol=tol)
+                              edge_tol=1e-8)
         assert len(bs.finite_edges) == edges
-        assert calls == [1201] + [edges] * halvings
+        assert calls[0] == 1201 and calls[1] == edges
+        assert calls[1:] == sorted(calls[1:], reverse=True)
+        assert len(calls) <= 1 + 8
+        assert bs.trace_calls == len(calls)
 
 
 def test_stalled_bracket_raises(monkeypatch):
@@ -121,10 +123,10 @@ def test_stalled_bracket_raises(monkeypatch):
     assert len(calls) < 60
 
 
-def test_exhausted_halving_budget_raises(monkeypatch):
+def test_exhausted_refinement_budget_raises(monkeypatch):
     # a synthetic trace, 0 for E <= 0 and 3 beyond, puts an edge exactly at
-    # the grid point 0, so the bracket (0, 1) halves toward 0 without
-    # stalling; 200 halvings leave it 2^-200 ~ 6e-61 wide, above edge_tol
+    # the grid point 0, so the bracket (0, 1) shrinks toward 0 without
+    # stalling; a budget of 3 steps runs out above edge_tol
     calls = []
 
     def synthetic(prob, e_values, direction="1"):
@@ -132,15 +134,16 @@ def test_exhausted_halving_budget_raises(monkeypatch):
         return np.where(np.real(e_values) > 0.0, 3.0 + 0j, 0j)
 
     monkeypatch.setattr(hill, "trace_on_grid", synthetic)
-    with pytest.raises(NonConvergenceError, match="after 200 halvings"):
+    monkeypatch.setattr(hill, "_EDGE_STEPS", 3)
+    with pytest.raises(NonConvergenceError, match="after 3 steps"):
         stability_set_1d(problem(1j, (1, 0, 0, 0)), -1.0, 1.0, num=3,
                          edge_tol=1e-320)
-    assert calls == [3] + [1] * 200
+    assert calls == [3] + [1] * 3
 
 
 def test_each_node_set_is_sampled_once(monkeypatch):
-    # V does not depend on E: the grid pass and every halving share the
-    # node samples of the two step counts 1024 and 2048
+    # V does not depend on E: the grid pass and every refinement step share
+    # the node samples (three nodes per step) of the step counts 128 and 256
     calls = []
     real = PathPotential.__call__
 
@@ -152,7 +155,7 @@ def test_each_node_set_is_sampled_once(monkeypatch):
     monkeypatch.setattr(PathPotential, "__call__", counting)
     bs = stability_set_1d(prob, -30.0, 30.0, num=1201)
     assert len(bs.finite_edges) == 3
-    assert calls == [1024, 1024, 2048, 2048]
+    assert calls == [128] * 3 + [256] * 3
 
 
 def _coarse_grid(prob):
@@ -166,8 +169,9 @@ def _partial_interval(prob):
 
 def _tighter_rtol(prob):
     pot = prob.potentials["1"]
-    trace_on_grid(dataclasses.replace(prob, rtol=1e-12), [-1.0, 3.0])
-    assert (1.0, 4096) in pot._nodes
+    trace_on_grid(dataclasses.replace(prob, rtol=1e-13, atol=1e-14),
+                  [-1.0, 3.0])
+    assert (1.0, 512) in pot._nodes
 
 
 @pytest.mark.parametrize("before", [_coarse_grid, _partial_interval,
@@ -211,6 +215,16 @@ def test_edge_on_a_grid_point(root):
                           num=601, edge_tol=tol)
     assert abs(bs.energies[k] - e) < 1e-12
     assert min(abs(x - e) for x in bs.finite_edges) <= tol
+
+
+def test_band_structure_reports_its_cost():
+    prob = problem(1j, (1, 0, 0, 0))
+    bs = stability_set_1d(prob, -8.0, 8.0, num=161)
+    assert bs.magnus_steps == 256
+    assert 2 <= bs.trace_calls <= 1 + 8
+    again = stability_set_1d(prob, -8.0, 8.0, num=161)
+    assert (again.magnus_steps, again.trace_calls) == (bs.magnus_steps,
+                                                       bs.trace_calls)
 
 
 def test_band_structure_keeps_the_grid_traces():
@@ -322,6 +336,30 @@ def test_unitarity_grid_refuses_points_next_to_a_root(tau, n, re_offsets,
     assert np.all(res["at_root"]) and not np.any(res["unitary"])
 
 
+def test_unitarity_grid_reports_the_step_counts():
+    q, _ = _roots(1j, (2, 0, 0, 0))
+    res = unitarity_grid(problem(1j, (2, 0, 0, 0)), q,
+                         np.linspace(-12, 12, 7), np.linspace(-6, 6, 5))
+    assert res["magnus_steps"] == {"1": 256, "tau": 256}
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5 + 0.9j, 1.7j])
+def test_lame_one_traces_match_hermite(tau):
+    # n = 1: y = sigma(z + a)/sigma(z) exp(-z zeta(a)) solves
+    # y'' = (2 wp(z) + wp(a)) y and gains exp(a eta_k - w_k zeta(a)) over
+    # the period w_k, so Delta_k = 2 cosh(a eta_k - w_k zeta(a)) at
+    # E = wp(a), with no integration
+    L = lattice(tau)
+    prob = problem(tau, (1, 0, 0, 0))
+    a = np.array([0.2 + 0.1 * tau, 0.3 + 0.25 * tau, 0.1 + 0.4 * tau,
+                  0.45 + 0.3 * tau])
+    e, za = wp(a, L), zeta_w(a, L)
+    for d, eta, w in (("1", L.eta1, 1.0), ("tau", L.eta2, tau)):
+        want = 2.0 * np.cosh(a * eta - w * za)
+        got = trace_on_grid(prob, e, d)
+        assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+
 @pytest.mark.parametrize("tau, n, e", [
     (0.68928318 + 0.72449203j, (2, 0, 0, 0), -14.433837592 + 15.171123500j),
     (0.5 + 0.9j, (3, 0, 0, 0), -41.1194918 + 0j),
@@ -397,23 +435,23 @@ def _trace(ms):
 ENERGIES = np.array([-8.0, -1.0, 2.5, 7.0 + 2.0j])
 
 
-def test_magnus_step_is_fourth_order():
+def test_magnus_step_is_sixth_order():
     pot = problem(1j, (2, 0, 0, 0)).potentials["1"]
     ref = _trace(_transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15))
     err = [np.abs(_trace(hill._magnus_product(pot, ENERGIES, 1.0, n))
                   - ref) for n in (64, 128)]
-    assert np.all((12.0 <= err[0] / err[1]) & (err[0] / err[1] <= 20.0))
+    assert np.all((48.0 <= err[0] / err[1]) & (err[0] / err[1] <= 80.0))
 
 
 @pytest.mark.parametrize("tau, n, d", [(1j, (2, 0, 0, 0), "1"),
                                        (1.15j, (1, 1, 1, 1), "tau")])
 def test_step_doubling_estimate_bounds_the_error(tau, n, d):
-    # M_(N/2) - M_N is 15 times the error of M_N to leading order
+    # M_(N/2) - M_N is 63 times the error of M_N to leading order
     pot = problem(tau, n).potentials[d]
     ref = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
-    fine = hill._magnus_product(pot, ENERGIES, 1.0, 2048)
-    coarse = hill._magnus_product(pot, ENERGIES, 1.0, 1024)
-    est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 15.0
+    fine = hill._magnus_product(pot, ENERGIES, 1.0, 256)
+    coarse = hill._magnus_product(pot, ENERGIES, 1.0, 128)
+    est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
     err = np.max(np.abs(fine - ref), axis=(1, 2))
     assert np.all(err <= 2.0 * est)
     assert np.all(est <= 2.0 * err)
@@ -424,7 +462,7 @@ def test_rtol_controls_the_error():
     ref = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
     err = [np.max(np.abs(_transfer_batch(pot, ENERGIES, 1.0, rtol, 1e-15)
                          - ref))
-           for rtol in (1e-10, 1e-11)]
+           for rtol in (1e-11, 1e-12)]
     assert err[1] < err[0] / 4.0
 
 
