@@ -84,9 +84,10 @@ def test_band_structure_of_the_classical_potential():
     assert abs(second.hi - L.e1.real) < 1e-6
 
 
-def test_edges_are_refined_together(monkeypatch):
-    # one grid pass plus one batched trace per regula falsi step, however
-    # many edges; a converged bracket leaves the batch
+def test_edges_are_bisected_together(monkeypatch):
+    # the brackets are narrowed together: one grid pass plus one batched
+    # trace per regula falsi step, however many edges; a converged bracket
+    # leaves the batch
     calls = []
     real = hill.trace_on_grid
 
@@ -123,7 +124,7 @@ def test_stalled_bracket_raises(monkeypatch):
     assert len(calls) < 60
 
 
-def test_exhausted_refinement_budget_raises(monkeypatch):
+def test_exhausted_halving_budget_raises(monkeypatch):
     # a synthetic trace, 0 for E <= 0 and 3 beyond, puts an edge exactly at
     # the grid point 0, so the bracket (0, 1) shrinks toward 0 without
     # stalling; a budget of 3 steps runs out above edge_tol
