@@ -93,18 +93,15 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def parse_n_tuple(text: str) -> tuple:
+    """Four comma-separated integers; their range is checked where the
+    tuple is used (``spectral._as_tuple``), as a usage error."""
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"--n wants four comma-separated integers, got {text!r}")
     try:
-        n = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise UsageError(f"--n wants four comma-separated integers, got {text!r}")
-    if any(v < 0 for v in n):
-        raise UsageError("multiplicities must be non-negative")
-    if max(n) < 1:
-        raise UsageError("at least one multiplicity must be positive")
-    return n
 
 
 def parse_rs(text: str) -> tuple:
@@ -213,10 +210,12 @@ def emit(payload: dict, columns, args) -> None:
     Values are plain Python or numpy scalars: complex, float, bool, None,
     lists.  JSON mode: one document whose first key, "generated", holds
     the timestamp on a line of its own; the next line holds the rest:
-    "version" and "command", the payload, and the rows as objects under
-    "rows" (arrays become lists once, by ``tolist``), written by the C
-    encoder, which converts complex and numpy values through
-    ``_json_default``.  CSV mode: a timestamp comment line, the resolved
+    "version" and "command", the payload, and the rows, if any, as objects
+    under "rows" (arrays become lists once, by ``tolist``), written by the
+    C encoder, which converts complex and numpy values through
+    ``_json_default``.  ``qpoly`` and ``premodular`` eval and zero-find,
+    whose rows restate payload fields, pass columns only for CSV, as
+    boundary-scan does.  CSV mode: a timestamp comment line, the resolved
     tolerance set, a header of the field names and one line per row,
     streamed to --out (or stdout); each column is formatted once by
     ``_csv_column``, with the cells of ``_csv_cell`` under RFC 4180
@@ -278,12 +277,13 @@ def cmd_qpoly(args) -> int:
         "max_imag": rr.max_imag,
         "diagnostics": dict(rep.diagnostics),
     }
-    coeffs, roots = list(rep.coeffs.coeffs), list(rr.roots)
-    emit(payload, {
+    coeffs, roots = payload["coefficients"], payload["roots"]
+    columns = {
         "kind": ["coefficient"] * len(coeffs) + ["root"] * len(roots),
         "index": [*range(len(coeffs)), *range(len(roots))],
         "value": coeffs + roots,
-    }, args)
+    }
+    emit(payload, columns if args.format == "csv" else None, args)
     return 0
 
 
@@ -426,8 +426,8 @@ def cmd_premodular(args) -> int:
             "value": val,
             "abs": abs(val),
         }
-        emit(payload, {"r": [r], "s": [s], "tau": [tau], "value": [val],
-                       "abs": [abs(val)]}, args)
+        columns = {k: [payload[k]] for k in ("r", "s", "tau", "value", "abs")}
+        emit(payload, columns if args.format == "csv" else None, args)
         return 0
 
     if args.op == "boundary-scan":
@@ -461,11 +461,12 @@ def cmd_premodular(args) -> int:
         res = zero_find(n, r, s, seed, tol=args.newton_tol)
         base["config"].update({"rs": args.rs, "tau": args.tau})
         payload = {**base, "r": r, "s": s, **res}
-        emit(payload, {
+        columns = {
             "r": [r], "s": [s], "seed": [seed],
             **{k: [res[k]] for k in ("tau_zero", "residual", "location",
                                      "inside_F0", "iterations")},
-        }, args)
+        }
+        emit(payload, columns if args.format == "csv" else None, args)
         return 0
 
     if args.op == "zero-find-multi":

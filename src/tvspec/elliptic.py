@@ -254,25 +254,9 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     return zeta, p, pp
 
 
-def zeta_w(z, L: LatticeData):
-    """Weierstrass zeta(z); zeta(z + m + n*tau) = zeta(z) + m*eta1 + n*eta2."""
-    return zeta_wp_wp_prime(z, L)[0]
-
-
 def wp(z, L: LatticeData):
     """Weierstrass wp(z) on Z + Z*tau.  Accepts scalars or arrays."""
     return zeta_wp_wp_prime(z, L)[1]
-
-
-def wp_prime(z, L: LatticeData):
-    """wp'(z) = -(d^3/dz^3) log theta1(z)."""
-    return zeta_wp_wp_prime(z, L)[2]
-
-
-def wp_second(z, L: LatticeData):
-    """wp''(z) = 6 wp(z)^2 - g2/2 (the derivative of the quartic identity)."""
-    p = wp(z, L)
-    return 6.0 * p * p - L.g2 / 2.0
 
 
 def wp_half_shift(z, L: LatticeData, k: int):
@@ -323,7 +307,7 @@ def wp_series_half(L: LatticeData, k: int, jmax: int) -> np.ndarray:
     h = np.zeros(jmax + 1, dtype=complex)
     h[0] = {1: L.e1, 2: L.e2, 3: L.e3}[k]
     for j in range(0, jmax - 1):
-        conv = sum(h[i] * h[j - i] for i in range(0, j + 1))
+        conv = np.einsum("i,i", h[: j + 1], h[j::-1])
         rhs = 6.0 * conv - (L.g2 / 2.0 if j == 0 else 0.0)
         h[j + 2] = rhs / ((j + 2) * (j + 1))
     return h

@@ -78,12 +78,6 @@ class HeunParams:
     gamma3: complex
     q0: complex  # intercept of the accessory map
 
-    def q_of_E(self, E):
-        return np.asarray(E) / 4.0 + self.q0
-
-    def E_of_q(self, q):
-        return 4.0 * (np.asarray(q) - self.q0)
-
 
 def heun_from_tuple(L: LatticeData, ta: TildeAlpha) -> HeunParams:
     """Exponent/accessory data for the branch choice ``ta`` on lattice ``L``:

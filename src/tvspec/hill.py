@@ -32,18 +32,17 @@ carry much looser thresholds).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import LatticeData, make_lattice
+from .elliptic import LatticeData, make_lattice, wp
 from .errors import CheckError, NonConvergenceError, PoleError
 from .poly import ComplexPoly
 from .spectral import (
+    _as_tuple,
     _check_tolerances,
-    _potential,
     q_via_phi_ansatz,
     roots_and_classify,
 )
@@ -68,6 +67,16 @@ __all__ = [
 
 # smallest distance between a loop and a pole of V that make_problem accepts
 _MIN_CLEARANCE = 0.03
+
+
+def _potential(L: LatticeData, n, z):
+    """V(z) = sum_k n_k(n_k+1) wp(z + w_k/2), summed in index order, for a
+    scalar or an array z."""
+    return sum(
+        n[k] * (n[k] + 1) * wp(z + L.half_periods[k], L)
+        for k in range(4)
+        if n[k] >= 1
+    )
 
 
 def _nearest_lattice_distance(z, tau: complex):
@@ -96,7 +105,6 @@ def _check_clearance(L: LatticeData, n, z0, omega):
             f"integration path approaches a potential pole "
             f"(clearance {worst:.3g} < {_MIN_CLEARANCE:g})"
         )
-    return worst
 
 
 class PathPotential:
@@ -110,9 +118,8 @@ class PathPotential:
         self.n = tuple(n)
         self.z0 = complex(z0)
         self.omega = complex(omega)
-        self.clearance = _check_clearance(L, self.n, self.z0, self.omega)
+        _check_clearance(L, self.n, self.z0, self.omega)
         self._nodes = {}
-        self.last_steps = 0  # Magnus step count of the latest batch
 
     def __call__(self, t):
         z = self.z0 + np.asarray(t, dtype=float) * self.omega
@@ -157,10 +164,11 @@ def make_problem(
 ) -> GLEProblem:
     """Prepare loop potentials (with pole-clearance checks) for the tuple
     ``n`` on lattice ``L``.  The default base point 1/4 + tau/4 sits midway
-    between the pole lines of both loop directions.  rtol and atol must be
-    finite and positive (ValueError)."""
+    between the pole lines of both loop directions.  ``n`` must be four
+    non-negative integers, not all zero, and rtol and atol finite and
+    positive (ValueError)."""
+    n = _as_tuple(n)
     _check_tolerances(rtol=rtol, atol=atol)
-    n = tuple(int(x) for x in n)
     if z_base is None:
         z_base = 0.25 + 0.25 * L.tau
     pots = {
@@ -270,7 +278,7 @@ def _transfer_batch(pot: PathPotential, e_values, t_end, rtol, atol):
     _STEPS_START until every energy has
     max_ij |M_N - M_(N/2)| / 63 <= atol + rtol max_ij |M_N|
     (the step is 6th order, so halving h divides the error by 2^6 = 64).
-    ``pot.last_steps`` records the N the batch stopped at."""
+    Returns the matrices and the N the batch stopped at."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
     steps = _STEPS_START
     coarse = _magnus_product(pot, e, t_end, steps // 2)
@@ -280,8 +288,7 @@ def _transfer_batch(pot: PathPotential, e_values, t_end, rtol, atol):
             est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
             scale = np.max(np.abs(fine), axis=(1, 2))
             if np.all(est <= atol + rtol * scale):
-                pot.last_steps = steps
-                return fine
+                return fine, steps
         coarse = fine
         steps *= 2
     raise NonConvergenceError(
@@ -299,17 +306,17 @@ class MonodromyRecord:
     matrix: np.ndarray = field(repr=False)
     delta: complex
     det_error: float
-    theta: complex   # arccos(delta/2)/pi, principal branch (Re in [0,1])
 
 
 def _checked_batch(prob: GLEProblem, e_values, direction: str):
     """Transfer matrices over one loop for a batch of energies (one shared
-    integration), each checked unimodular; returns them with |det M - 1|."""
+    integration), each checked unimodular; returns them with |det M - 1|
+    and the Magnus step count."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
     if not np.all(np.isfinite(e)):
         raise ValueError("energies must be finite")
     pot = prob.potentials[direction]
-    ms = _transfer_batch(pot, e, 1.0, prob.rtol, prob.atol)
+    ms, steps = _transfer_batch(pot, e, 1.0, prob.rtol, prob.atol)
     dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
     det_errors = np.abs(dets - 1.0)
     # det = 1 is exact; the attainable accuracy degrades with the square of
@@ -319,25 +326,24 @@ def _checked_batch(prob: GLEProblem, e_values, direction: str):
     worst = float(np.max(det_errors / scale))
     if not worst <= 1e-8:  # a NaN fails too
         raise CheckError(f"transfer matrix determinant drift {worst:.2e}")
-    return ms, det_errors
+    return ms, det_errors, steps
 
 
 def monodromy(prob: GLEProblem, e, direction: str = "1") -> MonodromyRecord:
     """Transfer matrix over one loop ("1" or "tau") at energy ``e``."""
-    ms, det_errors = _checked_batch(prob, [e], direction)
+    ms, det_errors, _ = _checked_batch(prob, [e], direction)
     m = ms[0]
-    delta = m[0, 0] + m[1, 1]
-    theta = cmath.acos(delta / 2.0) / cmath.pi
     return MonodromyRecord(
         E=complex(e), direction=direction, matrix=m,
-        delta=complex(delta), det_error=float(det_errors[0]), theta=theta,
+        delta=complex(m[0, 0] + m[1, 1]), det_error=float(det_errors[0]),
     )
 
 
 def trace_on_grid(prob: GLEProblem, e_values, direction: str = "1"):
-    """Traces Delta(E) over a batch of energies (one shared integration)."""
-    ms, _ = _checked_batch(prob, e_values, direction)
-    return ms[:, 0, 0] + ms[:, 1, 1]
+    """Traces Delta(E) over a batch of energies (one shared integration),
+    and the Magnus step count the batch needed."""
+    ms, _, steps = _checked_batch(prob, e_values, direction)
+    return ms[:, 0, 0] + ms[:, 1, 1], steps
 
 
 def commutator_check(prob: GLEProblem, e, tol: float = 1e-6) -> dict:
@@ -434,10 +440,8 @@ def stability_set_1d(
         raise ValueError(
             f"energy window needs finite e_min < e_max, got {e_min!r}, {e_max!r}"
         )
-    pot = prob.potentials[direction]
     grid = np.linspace(float(e_min), float(e_max), int(num))
-    deltas = trace_on_grid(prob, grid, direction)
-    magnus_steps = pot.last_steps
+    deltas, magnus_steps = trace_on_grid(prob, grid, direction)
     max_im = float(np.max(np.abs(deltas.imag) / (1.0 + np.abs(deltas))))
     if max_im > im_tol:
         raise CheckError(
@@ -478,8 +482,9 @@ def stability_set_1d(
                 f"band-edge bracket stalled at {np.max(width[stalled]):.3g} "
                 f"wide (adjacent floats), above edge_tol={edge_tol:g}"
             )
-        re = trace_on_grid(prob, x, direction).real
-        magnus_steps = max(magnus_steps, pot.last_steps)
+        trace, steps = trace_on_grid(prob, x, direction)
+        re = trace.real
+        magnus_steps = max(magnus_steps, steps)
         hit = np.abs(re) <= 2.0
         g = sgn[act] * re - 2.0
         # Illinois: the end that stays put a second time has its g halved
@@ -530,8 +535,9 @@ def dual_torus_exclusion(
     lattice of -1/tau (middle multiplicities swapped, energies scaled by
     tau^2).  The overlap should shrink to the spectral-curve branch
     points: every intersection piece must lie within root_tol (scaled) of
-    a root of Q.  Pass the spectral polynomial as ``qpoly``."""
-    n = tuple(int(x) for x in n)
+    a root of Q.  Pass the spectral polynomial as ``qpoly``.  ``n`` is
+    checked as by make_problem (ValueError)."""
+    n = _as_tuple(n)
     tau = complex(tau)
     L = make_lattice(tau)
     prob = make_problem(L, n, **problem_kw)
@@ -630,8 +636,8 @@ def unitarity_grid(
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
     ee = (re_values[None, :] + 1j * im_values[:, None]).ravel()
-    d1 = trace_on_grid(prob, ee, "1")
-    d2 = trace_on_grid(prob, ee, "tau")
+    d1, steps1 = trace_on_grid(prob, ee, "1")
+    d2, steps2 = trace_on_grid(prob, ee, "tau")
     shape = (len(im_values), len(re_values))
     d1 = d1.reshape(shape)
     d2 = d2.reshape(shape)
@@ -646,6 +652,5 @@ def unitarity_grid(
         "at_root": rootmask,
         "unitary": unitary,
         "tol_im": tol_im,
-        "magnus_steps": {d: pot.last_steps
-                         for d, pot in prob.potentials.items()},
+        "magnus_steps": {"1": steps1, "tau": steps2},
     }

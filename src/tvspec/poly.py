@@ -92,9 +92,6 @@ class ComplexPoly:
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, self.asarray())
 
-    def deriv(self) -> "ComplexPoly":
-        return ComplexPoly(tuple(np.polynomial.polynomial.polyder(self.asarray())))
-
     def monic(self) -> "ComplexPoly":
         c = self.asarray()
         lead = c[-1]
@@ -109,11 +106,6 @@ class ComplexPoly:
 
     def roots(self) -> np.ndarray:
         return polynomial_roots(self.asarray())
-
-    def real_coefficients(self, tol: float = 1e-10) -> bool:
-        c = self.asarray()
-        scale = max(1.0, float(np.max(np.abs(c))))
-        return bool(np.max(np.abs(c.imag)) <= tol * scale)
 
 
 def coefficient_distance(p: ComplexPoly, q: ComplexPoly) -> float:

@@ -38,7 +38,6 @@ from .errors import NonConvergenceError
 __all__ = [
     "F0Point",
     "WEIGHTS",
-    "z_rs",
     "z_n",
     "classify_f0",
     "is_half_torsion",
@@ -70,10 +69,6 @@ class F0Point:
     def inside(self) -> bool:
         return self.location != "outside"
 
-    @property
-    def on_boundary(self) -> bool:
-        return self.location.startswith("boundary")
-
 
 def classify_f0(tau: complex, tol: float = 1e-9) -> F0Point:
     """Locate tau relative to F0 = {0 <= Re <= 1, |tau - 1/2| >= 1/2}.
@@ -97,15 +92,10 @@ def classify_f0(tau: complex, tol: float = 1e-9) -> F0Point:
 
 # ── evaluations ───────────────────────────────────────────────────────────
 
-def z_rs(L: LatticeData, r: float, s: float):
-    """Z_{r,s} = zeta(r + s*tau) - r*eta1 - s*eta2 (odd in (r,s); zero at
-    half-period torsion).  Raises PoleError when r + s*tau hits the
-    lattice."""
-    return z_n(L, r, s, 1)
-
-
 def z_n(L: LatticeData, r: float, s: float, n: int):
-    """Pre-modular form of weight n(n+1)/2 at (r, s) on lattice L."""
+    """Pre-modular form of weight n(n+1)/2 at (r, s) on lattice L; n = 1
+    is Z_{r,s} itself.  Raises PoleError when r + s*tau hits the
+    lattice."""
     zeta, p, pp = zeta_wp_wp_prime(r + s * L.tau, L)
     Z = zeta - r * L.eta1 - s * L.eta2
     if n == 1:

@@ -36,7 +36,8 @@ Two independent routes are implemented and cross-checked:
 * `q_via_factorization` — products of Heun polynomial families P^(0..3)
   selected by the branch tables (even total multiplicity); odd totals go
   through an isospectral index transform that either reaches an even tuple
-  or raises NotConstructibleError.  Never returns an unverified guess.
+  in one step or raises NotConstructibleError.  Never returns an
+  unverified guess.
 
 `spectral_report` classifies the roots of the factors when the product
 form exists (root_source "factor_union", gap tolerance FACTOR_GAP_TOL =
@@ -55,7 +56,6 @@ from .elliptic import (
     TRUNCATION_TOL,
     LatticeData,
     make_lattice,
-    wp,
     wp_series_half,
     wp_series_origin,
     zeta_wp_wp_prime,
@@ -83,10 +83,6 @@ __all__ = [
     "modular_covariance_check",
     "tau_scan",
 ]
-
-# Klein four-group of index permutations that leave Q invariant
-_KLEIN_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-
 
 def genus_of(n) -> int:
     """Arithmetic genus of the spectral curve for multiplicities ``n``.
@@ -199,16 +195,6 @@ def _pencil(L: LatticeData, n):
         blocks0.append(G0[rows])
         blocks1.append(-4.0 * DF[rows])
     return np.vstack(blocks0), np.vstack(blocks1)
-
-
-def _potential(L: LatticeData, n, z):
-    """V(z) = sum_k n_k(n_k+1) wp(z + w_k/2), summed in index order, for a
-    scalar or an array z."""
-    return sum(
-        n[k] * (n[k] + 1) * wp(z + L.half_periods[k], L)
-        for k in range(4)
-        if n[k] >= 1
-    )
 
 
 def _local_values(L: LatticeData, n, z: complex):
@@ -373,22 +359,17 @@ def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
 # ── factorization route ───────────────────────────────────────────────────
 
 def _factor_branches(n):
-    """TildeAlpha list for the product form of an even-total tuple.
-    Comparisons with equality give the trivial factor (omitted)."""
-    n0, n1, n2, n3 = n
-    out = [TildeAlpha((-n0 / 2, -n1 / 2, -n2 / 2, -n3 / 2))]
-    if n0 + n1 >= n2 + n3 + 2:
-        out.append(TildeAlpha((-n0 / 2, -n1 / 2, (n2 + 1) / 2, (n3 + 1) / 2)))
-    elif n0 + n1 <= n2 + n3 - 2:
-        out.append(TildeAlpha(((n0 + 1) / 2, (n1 + 1) / 2, -n2 / 2, -n3 / 2)))
-    if n0 + n2 >= n1 + n3 + 2:
-        out.append(TildeAlpha((-n0 / 2, (n1 + 1) / 2, -n2 / 2, (n3 + 1) / 2)))
-    elif n0 + n2 <= n1 + n3 - 2:
-        out.append(TildeAlpha(((n0 + 1) / 2, -n1 / 2, (n2 + 1) / 2, -n3 / 2)))
-    if n0 + n3 >= n1 + n2 + 2:
-        out.append(TildeAlpha((-n0 / 2, (n1 + 1) / 2, (n2 + 1) / 2, -n3 / 2)))
-    elif n0 + n3 <= n1 + n2 - 2:
-        out.append(TildeAlpha(((n0 + 1) / 2, -n1 / 2, -n2 / 2, (n3 + 1) / 2)))
+    """TildeAlpha list for the product form of an even-total tuple: the
+    branch -n_i/2 at every index, then one factor per index pairing
+    {0, j} | {k, l} whose sums differ (by 2 or more, the total being
+    even), with branch (n_i+1)/2 on the pair of the smaller sum.  Equal
+    sums give the trivial factor (omitted)."""
+    out = [TildeAlpha.from_branches(n, (0, 0, 0, 0))]
+    for j in (1, 2, 3):
+        d = 2 * (n[0] + n[j]) - sum(n)      # n0 + nj - nk - nl
+        if d:
+            out.append(TildeAlpha.from_branches(
+                n, tuple(int((i in (0, j)) == (d < 0)) for i in range(4))))
     return out
 
 
@@ -424,44 +405,32 @@ def _l_transform_fixed(n):
 def q_via_factorization(L: LatticeData, n, details: bool = False):
     """Monic spectral polynomial as a product of Heun factor families.
 
-    Even totals factor directly.  Odd totals are searched for an even-total
-    partner under the group generated by the four index permutations and
-    the isospectral index transform; if none is reachable the route refuses
-    with NotConstructibleError rather than guessing.
+    Even totals factor directly.  An odd total s factors through its
+    isospectral index transform, whose total is even exactly when an odd
+    number of the pairs {0, j} have n0 + nj < s/2.  Each pairing
+    {0, j} | {k, l} has one side below s/2, and these three pairs form a
+    star or a triangle, so every Klein relabeling of n gives the same
+    parity.  When it is odd the route refuses with NotConstructibleError
+    rather than guessing: no further transform reaches an even total (the
+    tests compare with a breadth-first search over every odd tuple with
+    entries <= 8).
     """
     n = _as_tuple(n)
-    if sum(n) % 2 == 0:
-        prod, factors = _factor_product(L, n)
-        return (prod, {"tuple": n, "factors": factors}) if details else prod
-
-    g = genus_of(n)
-    seen = {n}
-    frontier = [n]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for perm in _KLEIN_PERMS:
-                tp = tuple(t[i] for i in perm)
-                lt = _l_transform_fixed(tp)
-                if max(lt) < 1 or lt in seen:
-                    continue
-                seen.add(lt)
-                if sum(lt) % 2 == 0:
-                    if genus_of(lt) != g:
-                        raise CheckError(
-                            f"transform target {lt} has genus "
-                            f"{genus_of(lt)} != {g}; refusing"
-                        )
-                    prod, factors = _factor_product(L, lt)
-                    if details:
-                        return prod, {"tuple": lt, "factors": factors}
-                    return prod
-                nxt.append(lt)
-        frontier = nxt
-    raise NotConstructibleError(
-        f"no even-total partner reachable from {n}; "
-        "the product form is not defined for this tuple"
-    )
+    target = n
+    if sum(n) % 2:
+        target = _l_transform_fixed(n)
+        if sum(target) % 2:
+            raise NotConstructibleError(
+                f"no even-total partner reachable from {n}; "
+                "the product form is not defined for this tuple"
+            )
+        if genus_of(target) != genus_of(n):
+            raise CheckError(
+                f"transform target {target} has genus "
+                f"{genus_of(target)} != {genus_of(n)}; refusing"
+            )
+    prod, factors = _factor_product(L, target)
+    return (prod, {"tuple": target, "factors": factors}) if details else prod
 
 
 # ── roots, classification, reports ────────────────────────────────────────

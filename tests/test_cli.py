@@ -81,8 +81,9 @@ def test_qpoly_json_payload(capsys):
     assert doc["has_complex"] is True
     assert doc["classification"] == "has_complex"
     assert any(r["im"] != 0 for r in doc["roots"])
-    kinds = {row["kind"] for row in doc["rows"]}
-    assert kinds == {"coefficient", "root"}
+    # each coefficient and root is written once, not again as rows
+    assert "rows" not in doc
+    assert len(doc["coefficients"]) == 4
 
 
 @pytest.mark.parametrize("n, tau", [("0,0,1,4", "0.000000+0.635897i"),
@@ -113,6 +114,23 @@ def test_qpoly_rejects_zero_tuple(capsys):
     code, _, err = run(capsys, "qpoly", "--n", "0,0,0,0", "--tau", "0+1i")
     assert code == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("n, message", [
+    ("0,0,0,0", "at least one multiplicity must be positive"),
+    ("-1,0,0,0", "multiplicities must be non-negative"),
+], ids=["zero", "negative"])
+@pytest.mark.parametrize("argv", [
+    ["qpoly", "--tau", "1i"],
+    ["scan", "--b", "0.8:1.2:3"],
+    ["bands", "--tau", "1i", "--E", "-8:8:5"],
+    ["unitary", "--tau", "1i", "--re", "-6:6:3", "--im", "-2:2:2"],
+], ids=lambda a: a[0])
+def test_n_out_of_range_is_a_usage_error(capsys, argv, n, message):
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_qpoly_rejects_bad_tau(capsys):
@@ -294,7 +312,7 @@ def test_bands_rows_are_the_grid_traces(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     grid = parse_grid("-8:8:161")
-    deltas = trace_on_grid(problem(1j, (1, 0, 0, 0)), grid)
+    deltas, _ = trace_on_grid(problem(1j, (1, 0, 0, 0)), grid)
     assert [r["E"] for r in rows] == grid.tolist()
     assert [r["re_delta"] for r in rows] == deltas.real.tolist()
     assert [r["im_delta"] for r in rows] == deltas.imag.tolist()
@@ -435,6 +453,27 @@ ROW_COMMANDS = [
 ]
 
 
+def _payload_rows(argv, doc):
+    """The rows a JSON document carries, or, for the commands whose rows
+    would restate payload fields and so are written only in CSV, those
+    fields as rows."""
+    if argv[0] == "qpoly":
+        return [{"kind": kind, "index": i, "value": v}
+                for kind, key in (("coefficient", "coefficients"),
+                                  ("root", "roots"))
+                for i, v in enumerate(doc[key])]
+    op = argv[2] if argv[0] == "premodular" else None
+    if op == "eval":
+        return [{k: doc[k] for k in ("r", "s", "tau", "value", "abs")}]
+    if op == "zero-find":
+        seed = parse_complex(doc["config"]["tau"])
+        return [{"r": doc["r"], "s": doc["s"],
+                 "seed": {"re": seed.real, "im": seed.imag},
+                 **{k: doc[k] for k in ("tau_zero", "residual", "location",
+                                        "inside_F0", "iterations")}}]
+    return doc["rows"]
+
+
 @pytest.mark.parametrize("argv", ROW_COMMANDS, ids=lambda a: " ".join(a[:3]))
 def test_csv_rows_agree_with_json_rows(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -442,7 +481,9 @@ def test_csv_rows_agree_with_json_rows(capsys, argv):
     doc = json.loads(out)
     assert list(doc)[:3] == ["generated", "version", "command"]
     assert (doc["version"], doc["command"]) == (__version__, argv[0])
-    rows = doc["rows"]
+    assert ("rows" in doc) == (argv[0] not in ("qpoly", "premodular")
+                               or argv[2] == "zero-find-multi")
+    rows = _payload_rows(argv, doc)
     assert rows
     code, out, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0

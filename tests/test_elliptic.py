@@ -9,16 +9,13 @@ from tvspec.elliptic import (
     reduce_to_cell,
     wp,
     wp_half_shift,
-    wp_prime,
-    wp_second,
     wp_series_half,
     wp_series_origin,
-    zeta_w,
     zeta_wp_wp_prime,
 )
 from tvspec.errors import PoleError
 from tvspec.hill import _nearest_lattice_distance
-from tvspec.premodular import z_n, z_rs
+from tvspec.premodular import z_n
 
 from conftest import lattice
 
@@ -29,6 +26,15 @@ SAMPLE_Z = (0.31 + 0.17j, 0.12, 0.07j, 0.45, 0.26, 0.33)
 
 def _points(tau):
     return [0.31 + 0.17j, 0.45 * tau, 0.12 + 0.41 * tau, -0.23 + 0.29 * tau]
+
+
+# the zeta and wp' components of the one evaluator
+def zeta_w(z, L):
+    return zeta_wp_wp_prime(z, L)[0]
+
+
+def wp_prime(z, L):
+    return zeta_wp_wp_prime(z, L)[2]
 
 
 @pytest.mark.parametrize(
@@ -124,12 +130,14 @@ def test_parity():
 
 
 def test_second_derivative_identity():
-    # wp'' = 6 wp^2 - g2/2
+    # wp'' = 6 wp^2 - g2/2, with wp'' the derivative of the evaluator's wp'
+    # by the trapezoid rule on a circle of radius 0.02 (16 nodes)
+    w = np.exp(2j * np.pi * np.arange(16) / 16)
     for tau in TAUS:
         L = lattice(tau)
         for z in _points(tau):
             p = wp(z, L)
-            lhs = wp_second(z, L)
+            lhs = np.mean(wp_prime(z + 0.02 * w, L) / w) / 0.02
             rhs = 6 * p * p - L.g2 / 2
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
@@ -169,6 +177,21 @@ def test_series_match_function_values(lat_i):
             assert abs(val - ref) < 1e-9 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("tau", TAUS)
+def test_series_half_matches_the_loop_convolution(tau):
+    # reference: the Cauchy product as a Python loop, one term at a time
+    L = lattice(tau)
+    for k in (1, 2, 3):
+        want = np.zeros(25, dtype=complex)
+        want[0] = L.es[k - 1]
+        for j in range(23):
+            conv = sum(want[i] * want[j - i] for i in range(j + 1))
+            want[j + 2] = (6.0 * conv - (L.g2 / 2.0 if j == 0 else 0.0)) \
+                / ((j + 2) * (j + 1))
+        np.testing.assert_allclose(wp_series_half(L, k, 24), want,
+                                   rtol=1e-13, atol=0.0)
+
+
 def test_pole_guard():
     L = lattice(1j)
     for z in (0.0, 1.0, 1j, 1e-9 + 1e-9j, 1 + 1j):
@@ -184,23 +207,22 @@ def test_public_evaluators_select_from_one_evaluator(tau):
     rng = np.random.default_rng(5)
     zs = rng.uniform(-2, 2, (7, 9)) + 1j * rng.uniform(-2, 2, (7, 9))
     for z in (zs, complex(zs[0, 0])):
-        zeta, p, pp = zeta_wp_wp_prime(z, L)
-        assert np.array_equal(zeta_w(z, L), zeta)
-        assert np.array_equal(wp(z, L), p)
-        assert np.array_equal(wp_prime(z, L), pp)
+        assert np.array_equal(wp(z, L), zeta_wp_wp_prime(z, L)[1])
     r = rng.uniform(-1, 1, (4, 5))
     s = rng.uniform(-1, 1, (4, 5))
-    assert np.array_equal(z_rs(L, r, s), z_n(L, r, s, 1))
-    assert z_rs(L, 0.3, 0.2) == z_n(L, 0.3, 0.2, 1)
+    zeta = zeta_wp_wp_prime(r + s * tau, L)[0]
+    assert np.array_equal(z_n(L, r, s, 1), zeta - r * L.eta1 - s * L.eta2)
+    zeta = zeta_wp_wp_prime(0.3 + 0.2 * tau, L)[0]
+    assert z_n(L, 0.3, 0.2, 1) == zeta - 0.3 * L.eta1 - 0.2 * L.eta2
     # (r, s) with z = r + s*tau: on a lattice point, 3e-7 off one (inside
     # the guard) and 3e-6 off one (outside it)
     cases = [((0.0, 0.0), True), ((1.0, 1.0), True), ((3e-7, 2.0), True),
              ((3e-6, 2.0), False),
              ((np.array([0.3, -1.0]), np.array([0.2, 3.0])), True)]
-    evaluators = (zeta_wp_wp_prime, zeta_w, wp, wp_prime, wp_second)
+    evaluators = (zeta_wp_wp_prime, wp)
     for (r, s), pole in cases:
         z = r + s * tau
-        for f in evaluators + (lambda z, L: z_rs(L, r, s),):
+        for f in evaluators + (lambda z, L: z_n(L, r, s, 1),):
             if pole:
                 with pytest.raises(PoleError):
                     f(z, L)

@@ -9,6 +9,7 @@ from tvspec.heun import (
     interlacing_check,
     p_polynomial,
 )
+from tvspec.poly import match_roots, polynomial_roots
 
 from conftest import lattice
 
@@ -90,7 +91,7 @@ def test_p_roots_give_truncating_ode_solutions(n, branches):
     xs = [1.7 + 0.3j, -2.5 + 1.1j, 9.0, 0.5 - 4.0j, 3.3 + 3.3j]
     cs_tail = coeff_sequence(h, N + 3)
     for E in P.roots():
-        qstar = complex(h.q_of_E(E))
+        qstar = complex(E / 4.0 + h.q0)
         # series truncation: the two coefficients past the solution vanish
         for k in (N + 1, N + 2):
             assert abs(npp.polyval(qstar, cs_tail[k])) < 1e-10
@@ -98,10 +99,15 @@ def test_p_roots_give_truncating_ode_solutions(n, branches):
 
 
 def test_accessory_map_roundtrip():
-    L = lattice(1j)
-    h = heun_from_tuple(L, TildeAlpha((-1.0, 0.0, 0.0, 0.0)))
-    for e in (0.3 + 1j, -7.0):
-        assert abs(h.E_of_q(h.q_of_E(e)) - e) < 1e-12
+    # the roots of c_(N+1) in q are q = E/4 + q0 at the roots E of P
+    L = lattice(0.3 + 1.1j)
+    for ta in (TildeAlpha((-1.0, 0.0, 0.0, 0.0)),
+               TildeAlpha.from_branches((2, 1, 1, 0), (0, 0, 0, 0))):
+        h = heun_from_tuple(L, ta)
+        q_roots = polynomial_roots(coeff_sequence(h, ta.N + 1)[ta.N + 1])
+        e_roots = p_polynomial(L, ta).roots()
+        _, dist = match_roots(4.0 * (q_roots - h.q0), e_roots)
+        assert dist < 1e-10 * (1.0 + np.max(np.abs(e_roots)))
 
 
 def test_interlacing_positive_regime():

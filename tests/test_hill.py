@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvspec import hill
-from tvspec.elliptic import wp, zeta_w
+from tvspec.elliptic import wp, zeta_wp_wp_prime
 from tvspec.errors import CheckError, NonConvergenceError, PoleError
 from tvspec.hill import (
     PathPotential,
@@ -54,7 +54,8 @@ def test_trace_is_two_at_every_root():
 def test_batch_matches_single():
     prob = problem(1j, (2, 0, 0, 0))
     es = np.array([-8.0, -1.0, 2.5, 7.0 + 2.0j])
-    batch = trace_on_grid(prob, es)
+    batch, steps = trace_on_grid(prob, es)
+    assert steps == 256
     for e, d in zip(es, batch):
         assert abs(monodromy(prob, complex(e)).delta - d) < 1e-8
 
@@ -65,8 +66,8 @@ def test_trace_is_analytic_by_mean_value():
     prob = problem(1j, (1, 0, 0, 0))
     center = 1.5 + 0.5j
     ring = center + 0.8 * np.exp(2j * np.pi * np.arange(16) / 16)
-    mean = np.mean(trace_on_grid(prob, ring))
-    dc = trace_on_grid(prob, [center])[0]
+    mean = np.mean(trace_on_grid(prob, ring)[0])
+    dc = trace_on_grid(prob, [center])[0][0]
     assert abs(mean - dc) / (1.0 + abs(dc)) < 1e-8
 
 
@@ -132,7 +133,7 @@ def test_exhausted_halving_budget_raises(monkeypatch):
 
     def synthetic(prob, e_values, direction="1"):
         calls.append(len(np.atleast_1d(e_values)))
-        return np.where(np.real(e_values) > 0.0, 3.0 + 0j, 0j)
+        return np.where(np.real(e_values) > 0.0, 3.0 + 0j, 0j), 256
 
     monkeypatch.setattr(hill, "trace_on_grid", synthetic)
     monkeypatch.setattr(hill, "_EDGE_STEPS", 3)
@@ -182,8 +183,8 @@ def test_reused_samples_give_the_fresh_traces(before):
     prob = make_problem(lattice(1j), (2, 0, 0, 0))
     before(prob)
     fresh = make_problem(lattice(1j), (2, 0, 0, 0))
-    assert np.array_equal(trace_on_grid(prob, ENERGIES),
-                          trace_on_grid(fresh, ENERGIES))
+    assert np.array_equal(trace_on_grid(prob, ENERGIES)[0],
+                          trace_on_grid(fresh, ENERGIES)[0])
 
 
 def test_bisection_steps_are_determinant_checked(monkeypatch):
@@ -193,10 +194,10 @@ def test_bisection_steps_are_determinant_checked(monkeypatch):
     real = hill._transfer_batch
 
     def broken(pot, e_values, t_end, rtol, atol):
-        ms = real(pot, e_values, t_end, rtol, atol)
+        ms, steps = real(pot, e_values, t_end, rtol, atol)
         e = np.atleast_1d(np.asarray(e_values)).real
         ms[~np.isin(e, grid)] *= 2.0
-        return ms
+        return ms, steps
 
     monkeypatch.setattr(hill, "_transfer_batch", broken)
     prob = problem(1j, (1, 0, 0, 0))
@@ -232,7 +233,7 @@ def test_band_structure_keeps_the_grid_traces():
     prob = problem(1j, (1, 0, 0, 0))
     bs = stability_set_1d(prob, -8.0, 8.0, num=161)
     assert np.array_equal(bs.energies, np.linspace(-8.0, 8.0, 161))
-    assert np.array_equal(bs.deltas, trace_on_grid(prob, bs.energies))
+    assert np.array_equal(bs.deltas, trace_on_grid(prob, bs.energies)[0])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
@@ -354,10 +355,10 @@ def test_lame_one_traces_match_hermite(tau):
     prob = problem(tau, (1, 0, 0, 0))
     a = np.array([0.2 + 0.1 * tau, 0.3 + 0.25 * tau, 0.1 + 0.4 * tau,
                   0.45 + 0.3 * tau])
-    e, za = wp(a, L), zeta_w(a, L)
+    za, e, _ = zeta_wp_wp_prime(a, L)
     for d, eta, w in (("1", L.eta1, 1.0), ("tau", L.eta2, tau)):
         want = 2.0 * np.cosh(a * eta - w * za)
-        got = trace_on_grid(prob, e, d)
+        got, _ = trace_on_grid(prob, e, d)
         assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
 
 
@@ -398,13 +399,27 @@ def test_direction1_floquet_density_invariance():
     pot1 = prob.potentials["1"]
     worst = 0.0
     for s in (0.05, 0.4, 0.6, 0.9):
-        y_s = _transfer_batch(pot1, [e], s, prob.rtol, prob.atol)[0]
-        y_s1 = _transfer_batch(pot1, [e], 1.0 + s, prob.rtol, prob.atol)[0]
+        y_s = _transfer_batch(pot1, [e], s, prob.rtol, prob.atol)[0][0]
+        y_s1 = _transfer_batch(pot1, [e], 1.0 + s, prob.rtol, prob.atol)[0][0]
         u, u1 = y_s @ v, y_s1 @ v
         g = np.sum(np.abs(u[0, :]) ** 2)
         g1 = np.sum(np.abs(u1[0, :]) ** 2)
         worst = max(worst, abs(g1 - g) / max(g, g1))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("n, match", [
+    ((1.5, 0, 0, 0), "must be integers"),
+    ((-1, 0, 0, 0), "must be non-negative"),
+    ((0, 0, 0, 0), "at least one multiplicity must be positive"),
+], ids=["fraction", "negative", "zero"])
+def test_multiplicities_are_checked(n, match):
+    # a fractional entry is refused, not truncated, and a negative or
+    # all-zero tuple before any potential is built
+    with pytest.raises(ValueError, match=match):
+        make_problem(lattice(1j), n)
+    with pytest.raises(ValueError, match=match):
+        dual_torus_exclusion(n, 1j, -8.0, 8.0)
 
 
 def test_problem_construction_guards():
@@ -438,7 +453,7 @@ ENERGIES = np.array([-8.0, -1.0, 2.5, 7.0 + 2.0j])
 
 def test_magnus_step_is_sixth_order():
     pot = problem(1j, (2, 0, 0, 0)).potentials["1"]
-    ref = _trace(_transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15))
+    ref = _trace(_transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)[0])
     err = [np.abs(_trace(hill._magnus_product(pot, ENERGIES, 1.0, n))
                   - ref) for n in (64, 128)]
     assert np.all((48.0 <= err[0] / err[1]) & (err[0] / err[1] <= 80.0))
@@ -449,7 +464,7 @@ def test_magnus_step_is_sixth_order():
 def test_step_doubling_estimate_bounds_the_error(tau, n, d):
     # M_(N/2) - M_N is 63 times the error of M_N to leading order
     pot = problem(tau, n).potentials[d]
-    ref = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
+    ref, _ = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
     fine = hill._magnus_product(pot, ENERGIES, 1.0, 256)
     coarse = hill._magnus_product(pot, ENERGIES, 1.0, 128)
     est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
@@ -459,12 +474,15 @@ def test_step_doubling_estimate_bounds_the_error(tau, n, d):
 
 
 def test_rtol_controls_the_error():
+    # the reference takes 4096 steps, past the 256 and 512 that the two
+    # tolerances stop at, so neither error is measured against itself
     pot = problem(1.15j, (1, 1, 1, 1)).potentials["tau"]
-    ref = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
-    err = [np.max(np.abs(_transfer_batch(pot, ENERGIES, 1.0, rtol, 1e-15)
-                         - ref))
-           for rtol in (1e-11, 1e-12)]
-    assert err[1] < err[0] / 4.0
+    ref = hill._magnus_product(pot, ENERGIES, 1.0, 4096)
+    runs = [_transfer_batch(pot, ENERGIES, 1.0, rtol, 1e-15)
+            for rtol in (1e-11, 1e-12)]
+    assert [steps for _, steps in runs] == [256, 512]
+    err = [np.max(np.abs(ms - ref)) for ms, _ in runs]
+    assert 0.0 < err[1] < err[0] / 4.0
 
 
 def test_large_energies_refine_the_steps():
@@ -472,7 +490,7 @@ def test_large_energies_refine_the_steps():
     # instead of truncating the exponential
     pot = problem(1j, (1, 0, 0, 0)).potentials["1"]
     assert hill._magnus_product(pot, np.array([-1e5]), 1.0, 1024) is None
-    m = _transfer_batch(pot, [-1e5], 1.0, 1e-10, 1e-12)[0]
+    m = _transfer_batch(pot, [-1e5], 1.0, 1e-10, 1e-12)[0][0]
     assert abs(np.linalg.det(m) - 1.0) < 1e-9
     assert abs(m[0, 0] + m[1, 1]) <= 2.0 + 1e-9
 
@@ -485,7 +503,7 @@ def test_nonfinite_energies_are_refused(e):
 
 def test_nan_transfer_matrix_fails_the_determinant_check(monkeypatch):
     monkeypatch.setattr(hill, "_transfer_batch",
-                        lambda *a: np.full((1, 2, 2), np.nan + 0j))
+                        lambda *a: (np.full((1, 2, 2), np.nan + 0j), 256))
     with pytest.raises(CheckError, match="determinant"):
         monodromy(problem(1j, (1, 0, 0, 0)), 0.5)
 

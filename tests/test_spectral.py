@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvspec import spectral
-from tvspec.elliptic import wp, wp_prime, zeta_wp_wp_prime
+from tvspec.elliptic import zeta_wp_wp_prime
 from tvspec.errors import CheckError, NonConvergenceError, NotConstructibleError
 from tvspec.poly import ComplexPoly, coefficient_distance, match_roots
 from tvspec.spectral import (
@@ -129,6 +131,48 @@ def test_unreachable_odd_tuple_refused():
     assert rep.coeffs.degree == 7
 
 
+KLEIN_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def _partner_by_search(n):
+    """Breadth-first search for an even-total tuple under the Klein
+    relabelings and the index transform, or None."""
+    seen, frontier = {n}, [n]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for perm in KLEIN_PERMS:
+                lt = spectral._l_transform_fixed(tuple(t[i] for i in perm))
+                if max(lt) < 1 or lt in seen:
+                    continue
+                if sum(lt) % 2 == 0:
+                    return lt
+                seen.add(lt)
+                nxt.append(lt)
+        frontier = nxt
+    return None
+
+
+def test_one_transform_finds_the_searched_partner(monkeypatch):
+    # the product itself is left out: the route agreement tests cover it
+    monkeypatch.setattr(spectral, "_factor_product",
+                        lambda L, n: (None, [n]))
+    L = lattice(1j)
+    found = 0
+    for n in itertools.product(range(9), repeat=4):
+        if sum(n) % 2 == 0:
+            continue
+        want = _partner_by_search(n)
+        if want is None:
+            with pytest.raises(NotConstructibleError):
+                q_via_factorization(L, n)
+        else:
+            _, det = q_via_factorization(L, n, details=True)
+            assert det["tuple"] == want, n
+            found += 1
+    assert found == 1640
+
+
 def test_klein_relabeling_invariance():
     # permuting the multiplicities by the half-period translations leaves
     # the spectral polynomial unchanged
@@ -148,8 +192,8 @@ def test_klein_relabeling_invariance():
 )
 def test_real_coefficients_on_imaginary_axis(b, idx):
     L = lattice(complex(0.0, round(b, 3)))
-    q = q_via_phi_ansatz(L, EVEN_TUPLES[idx])
-    assert q.real_coefficients(tol=1e-9)
+    c = q_via_phi_ansatz(L, EVEN_TUPLES[idx]).asarray()
+    assert np.max(np.abs(c.imag)) <= 1e-9 * max(1.0, np.max(np.abs(c)))
 
 
 def test_roots_and_classify_precedence():
@@ -280,15 +324,17 @@ def test_local_values_match_per_point_evaluation():
     z = 0.13 + 0.29j
     vals, d1, d2, v = spectral._local_values(L, n, z)
     ref = [(1.0, 0.0, 0.0)]
+    v_ref = 0.0
     for k in range(4):
-        p, pp = wp(z + L.half_periods[k], L), wp_prime(z + L.half_periods[k], L)
+        _, p, pp = zeta_wp_wp_prime(z + L.half_periods[k], L)
+        v_ref += n[k] * (n[k] + 1) * p
         for w in range(n[k], 0, -1):
             ref.append((p ** w, w * p ** (w - 1) * pp,
                         w * p ** (w - 1) * (6 * p * p - L.g2 / 2)
                         + w * (w - 1) * p ** max(w - 2, 0) * pp * pp))
     for got, want in zip((vals, d1, d2), np.array(ref).T):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-    assert v == pytest.approx(spectral._potential(L, n, z), rel=1e-14)
+    assert v == pytest.approx(v_ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [(1, 0, 0, 0), (2, 1, 1, 0), (4, 0, 0, 3),
