@@ -186,16 +186,19 @@ def _csv_quote(text: str) -> str:
 
 def _csv_column(col) -> list:
     """One column's CSV cells as text.  A float64 or complex128 array is
-    formatted once per distinct bit pattern (so 0.0 and -0.0 stay apart)
-    and indexed back, its numbers needing no quotes; any other column goes
-    cell by cell."""
+    formatted once per distinct bit pattern (so 0.0 and -0.0 stay apart),
+    floats by one bound ``"{:.17g}".format``, and indexed back, its
+    numbers needing no quotes; a range is its integers; any other column
+    goes cell by cell."""
+    if isinstance(col, range):
+        return list(map(str, col))
     if isinstance(col, np.ndarray) and col.dtype in (np.float64,
                                                      np.complex128):
         bits = col.view(np.int64 if col.dtype == np.float64 else "V16")
         _, first, inverse = np.unique(bits, return_index=True,
                                       return_inverse=True)
-        text = np.array([_csv_cell(v) for v in col[first].tolist()],
-                        dtype=object)
+        fmt = "{:.17g}".format if col.dtype == np.float64 else fmt_complex
+        text = np.array(list(map(fmt, col[first].tolist())), dtype=object)
         return text[inverse].tolist()
     if isinstance(col, np.ndarray):
         col = col.tolist()

@@ -1,8 +1,16 @@
 """Weierstrass elliptic functions on the lattice Z + Z*tau.
 
-Everything is evaluated through Jacobi theta series in the nome
-q = exp(i*pi*tau), after reducing the argument to the fundamental cell.
-Conventions used throughout the package:
+Everything is evaluated through Jacobi theta series, and only on an
+SL2(Z)-reduced lattice: ``make_lattice`` maps tau to tau' = gamma tau in
+|Re tau'| <= 1/2, |tau'| >= 1 (Cohen, GTM 138, Sec. 7.4), so the nome
+q' = exp(i*pi*tau') has |q'| <= exp(-pi*sqrt(3)/2) ~ 0.066 and the series
+take a few terms.  With gamma = ((a, b), (c, d)) and lam = c*tau + d,
+Z + Z*tau = lam (Z + Z*tau'), so every value is carried back by its
+weight: with zeta_R, wp_R the functions of Z + Z*tau',
+zeta(z) = zeta_R(z/lam)/lam, wp(z) = wp_R(z/lam)/lam^2 and
+wp'(z) = wp_R'(z/lam)/lam^3.  The argument z/lam is reduced to the
+fundamental cell of tau' before the series run.  Conventions used
+throughout the package:
 
 * periods are 1 and tau (Im tau > 0), half-period points
   w0/2 = 0, w1/2 = 1/2, w2/2 = tau/2, w3/2 = (1+tau)/2;
@@ -13,15 +21,17 @@ Conventions used throughout the package:
   Legendre relation eta1*tau - eta2 = 2*pi*i (never a second series).
 
 A batch of lattices is one LatticeData whose fields are arrays over tau
-(``make_lattice`` of a 1-D array).  The evaluators broadcast against it
-with tau on the last axis of the evaluation points.  The theta series
-gives each lattice of the batch the terms it would get alone; the
-Eisenstein series runs until it has truncated on every lattice.
+(``make_lattice`` of a 1-D array); each tau of it is reduced on its own.
+The evaluators broadcast against it with tau on the last axis of the
+evaluation points.  The theta series gives each lattice of the batch the
+terms it would get alone; the Eisenstein series runs until it has
+truncated on every lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +39,23 @@ from .errors import NonConvergenceError, PoleError
 
 _TWO_PI_I = 2j * np.pi
 
-# Hard cap on theta/Eisenstein series length; hit only for Im tau far below
-# anything the package supports (boundary scans stop at Im tau = 0.05).
+# Hard cap on theta/Eisenstein series length; on a reduced lattice the
+# series stop after a few terms.
 _MAX_TERMS = 4000
+
+# Above this Im tau' the sine of the second theta term overflows at the
+# half period tau'/2 (3*pi*Im tau'/2 > 709.8); make_lattice refuses such a
+# reduced lattice: Im tau above 150, or tau that close to the real axis
+# (Im tau' = Im tau/|c*tau + d|^2, so below 0.0067i over an integer).
+_MAX_IM_REDUCED = 150.0
+
+# |c| below this keeps _affine exact; a reduction that needs more (only
+# for Im tau below ~3e-16) is refused
+_MAX_C = 2 ** 26
+
+# |tau|^2 below this is inverted by the reduction; the margin keeps
+# rounding at |tau| = 1 from inverting back and forth.
+_UNIT_CIRCLE = 1.0 - 1e-12
 
 # Relative size of the first omitted theta or Eisenstein term; results
 # report it as their "truncation_tol".
@@ -44,7 +68,10 @@ POLE_GUARD = 1e-6
 @dataclass(frozen=True)
 class LatticeData:
     """Cached constants of the lattice Z + Z*tau; for a batch of lattices
-    every field is a 1-D array over tau."""
+    every field is a 1-D array over tau.  ``reduced`` is the lattice
+    Z + Z*tau' of the reduced tau' = gamma tau, on which the series run,
+    and ``lam`` = c*tau + d, so that Z + Z*tau = lam (Z + Z*tau');
+    ``reduced`` is None when tau is already reduced (lam = 1)."""
 
     tau: complex
     q: complex                # nome exp(i*pi*tau)
@@ -55,6 +82,8 @@ class LatticeData:
     g3: complex
     eta1: complex
     eta2: complex
+    reduced: LatticeData | None = None
+    lam: complex = 1.0
 
     @property
     def half_periods(self):
@@ -93,7 +122,8 @@ def _eisenstein_e2(q: complex) -> complex:
 def _theta1_block(v, q: complex):
     """theta1(v|q) and its first three v-derivatives, vectorized over v.
 
-    v must be reduced to the cell, so |Im v| <= Im tau / 2; that bound
+    q is the nome of a reduced lattice (|q| <= 0.066), and v must be
+    reduced to its cell, so |Im v| <= Im tau / 2; that bound
     fixes a safe series length a priori, while the loop still exits early
     once the worst-case next term is below TRUNCATION_TOL * (accumulated
     magnitude).  An array q holds one nome per lattice, matched to the
@@ -110,10 +140,7 @@ def _theta1_block(v, q: complex):
     th3 = np.zeros_like(v)
     block = (th, th1, th2, th3)
     batch = isinstance(q, np.ndarray)
-    absq = abs(q)
-    if (np.any(absq >= 1.0) if batch else absq >= 1.0):
-        raise ValueError("nome |q| >= 1; tau must satisfy Im tau > 0")
-    logq = np.log(absq)
+    logq = np.log(abs(q))
     im_bound = -logq / (2.0 * np.pi)
     floor = 0.0
     # batch: the lattices still taking terms, and their slices of v and
@@ -175,35 +202,39 @@ def reduce_to_cell(z, tau: complex):
     return z_red, m.astype(int), n.astype(int)
 
 
-def make_lattice(tau) -> LatticeData:
-    """Build the cached lattice constants for Z + Z*tau.
+def _reduction(tau):
+    """gamma = (a, b, c, d) in SL2(Z) that maps tau into |Re| <= 1/2,
+    |tau| >= 1: translate to |Re tau| <= 1/2, invert while |tau| < 1.
+    Every inversion raises Im tau, so the loop ends; it stops early once
+    |c| reaches _MAX_C, which make_lattice refuses.  tau is a Python
+    complex and a, b, c, d are ints; a batch reduces its taus one by one."""
+    a, b, c, d = 1, 0, 0, 1
+    t = tau
+    while abs(c) < _MAX_C:
+        k = round(t.real)
+        t -= k
+        a, b = a - k * c, b - k * d
+        if t.real * t.real + t.imag * t.imag >= _UNIT_CIRCLE:
+            break
+        t = -1 / t
+        a, b, c, d = -c, -d, a, b
+    return a, b, c, d
 
-    tau is a scalar or a non-empty 1-D array.  For an array the result is
-    one LatticeData whose fields are arrays over tau, built by one pass of
-    each series; the evaluators then take points with tau on their last
-    axis (a point array of shape (len(tau),) puts one point on each
-    lattice), so ``z_n(make_lattice(taus), r, s, n)`` is Z^(n)_{r,s} at
-    every tau.  A lattice in a batch may get a few Eisenstein terms below
-    TRUNCATION_TOL that it would not get alone.
 
-    Raises ValueError unless every tau is finite with Im tau > 0.
-    """
-    batch = np.ndim(tau) > 0
-    if batch:
-        tau = np.asarray(tau, dtype=complex)
-        if tau.ndim != 1 or tau.size == 0:
-            raise ValueError("tau must be a scalar or a non-empty 1-D array")
-        if not np.all(np.isfinite(tau)):
-            raise ValueError("tau must be finite")
-        if np.any(tau.imag <= 0):
-            raise ValueError(f"Im tau must be positive, got tau = "
-                             f"{tau[tau.imag <= 0][0]}")
-    else:
-        tau = complex(tau)
-        if not np.isfinite(tau.real) or not np.isfinite(tau.imag):
-            raise ValueError("tau must be finite")
-        if tau.imag <= 0:
-            raise ValueError(f"Im tau must be positive, got tau = {tau}")
+def _affine(c, tau, d):
+    """c*tau + d for whole numbers c, d (|c| < 2^26) with c*Re tau + d
+    rounded about once: Dekker's split Re tau = hi + lo makes c*hi and
+    c*lo exact, so a small c*tau + d keeps its relative accuracy."""
+    x = tau.real
+    s = x * 134217729.0                 # 2^27 + 1
+    hi = s - (s - x)
+    return (c * hi + d) + c * (x - hi) + 1j * (c * tau.imag)
+
+
+def _lattice_on_cell(tau, batch: bool) -> LatticeData:
+    """LatticeData of a reduced tau (complex, or a 1-D array for a batch):
+    eta1 from the Eisenstein series, the e_k from one evaluation at the
+    half periods."""
     q = np.exp(1j * np.pi * tau)
     eta1 = (np.pi ** 2 / 3.0) * _eisenstein_e2(q)
     eta2 = eta1 * tau - _TWO_PI_I
@@ -222,7 +253,93 @@ def make_lattice(tau) -> LatticeData:
     e1, e2, e3 = es if batch else (complex(e) for e in es)
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return replace(cell, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3)
+    return LatticeData(tau=tau, q=q, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3,
+                       eta1=eta1, eta2=eta2)
+
+
+def make_lattice(tau) -> LatticeData:
+    """Build the cached lattice constants for Z + Z*tau.
+
+    tau is a scalar or a non-empty 1-D array.  Each tau is reduced on its
+    own to tau' = gamma tau in |Re tau'| <= 1/2, |tau'| >= 1, and the
+    series run only on Z + Z*tau' (``reduced``; a tau already reduced is
+    its own lattice).  With gamma = ((a, b), (c, d)) and lam = c*tau + d
+    the constants come back by weight: e_k is the e' of the half period
+    w_k/lam over lam^2 (the label fixed by (a, c), (b, d) or (a + b,
+    c + d) mod 2), g2 = g2'/lam^4, g3 = g3'/lam^6, and
+    eta1 = (a*eta1' - c*eta2')/lam; eta2 follows from the Legendre
+    relation.
+
+    For an array the result is one LatticeData whose fields are arrays
+    over tau, built by one pass of each series; the evaluators then take
+    points with tau on their last axis (a point array of shape
+    (len(tau),) puts one point on each lattice), so
+    ``z_n(make_lattice(taus), r, s, n)`` is Z^(n)_{r,s} at every tau.  A
+    lattice in a batch may get a few Eisenstein terms below
+    TRUNCATION_TOL that it would not get alone.
+
+    Raises ValueError unless every tau is finite with Im tau > 0, and
+    NonConvergenceError where Im tau' exceeds 150 (the theta terms
+    overflow there) or the reduction needs |c| >= 2^26.
+    """
+    batch = np.ndim(tau) > 0
+    if batch:
+        tau = np.asarray(tau, dtype=complex)
+        if tau.ndim != 1 or tau.size == 0:
+            raise ValueError("tau must be a scalar or a non-empty 1-D array")
+        if not np.all(np.isfinite(tau)):
+            raise ValueError("tau must be finite")
+        if np.any(tau.imag <= 0):
+            raise ValueError(f"Im tau must be positive, got tau = "
+                             f"{tau[tau.imag <= 0][0]}")
+    else:
+        tau = complex(tau)
+        if not np.isfinite(tau.real) or not np.isfinite(tau.imag):
+            raise ValueError("tau must be finite")
+        if tau.imag <= 0:
+            raise ValueError(f"Im tau must be positive, got tau = {tau}")
+    if batch:
+        a, b, c, d = np.array([_reduction(t) for t in tau.tolist()],
+                              dtype=float).T
+    else:
+        a, b, c, d = _reduction(tau)
+    moved = b.any() or c.any() if batch else b or c
+    if moved:
+        lam = _affine(c, tau, d)
+        tau_red = _affine(a, tau, b) / lam
+    else:
+        tau_red = tau
+    if batch:
+        far = (np.abs(c) >= _MAX_C) | (tau_red.imag > _MAX_IM_REDUCED)
+    else:
+        far = abs(c) >= _MAX_C or tau_red.imag > _MAX_IM_REDUCED
+    if far.any() if batch else far:
+        raise NonConvergenceError(
+            f"tau = {tau[far][0] if batch else tau} is out of the kernel's "
+            f"range: its reduced lattice needs Im tau' <= "
+            f"{_MAX_IM_REDUCED:g} (the theta terms overflow above) and "
+            f"|c| < 2^26 in lam = c*tau + d")
+    R = _lattice_on_cell(tau_red, batch)
+    if not moved:
+        return R
+    # the half period m/2 + n tau'/2 (m, n mod 2) has label m + 2n - 1 in
+    # (e1', e2', e3'); w1/lam = a - c tau', w2/lam = -b + d tau'
+    labels = [m % 2 + 2 * (n % 2) - 1
+              for m, n in ((a, c), (b, d), (a + b, c + d))]
+    lam2 = lam * lam
+    if batch:
+        es, cols = np.array(R.es), np.arange(tau.size)
+        e1, e2, e3 = (es[k.astype(np.intp), cols] / lam2 for k in labels)
+        q = np.exp(1j * np.pi * tau)
+    else:
+        es = R.es
+        e1, e2, e3 = (es[k] / lam2 for k in labels)
+        q = cmath.exp(1j * cmath.pi * tau)
+    lam4 = lam2 * lam2
+    eta1 = (a * R.eta1 - c * R.eta2) / lam
+    return LatticeData(tau=tau, q=q, e1=e1, e2=e2, e3=e3, g2=R.g2 / lam4,
+                       g3=R.g3 / (lam4 * lam2), eta1=eta1,
+                       eta2=eta1 * tau - _TWO_PI_I, reduced=R, lam=lam)
 
 
 def zeta_wp_wp_prime(z, L: LatticeData):
@@ -231,24 +348,33 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     the last axis of z; raises PoleError when a point lies within
     POLE_GUARD of the lattice.
 
-    With z = z_red + m + n*tau and z_red reduced to the cell:
-    zeta(z) = eta1 z_red + theta1'(z_red)/theta1(z_red) + m eta1 + n eta2,
-    wp = -zeta' and wp' = -zeta''.  Lattice coordinates of z_red lie in
-    [-1/2, 1/2], so |z_red| is its distance to the nearest lattice point
-    wherever the guard matters."""
+    The series run on the reduced lattice Z + Z*tau' at w = z/lam
+    (w = z when tau is reduced), and the values come back as
+    (zeta_R(w)/lam, wp_R(w)/lam^2, wp_R'(w)/lam^3), _R marking the
+    functions of Z + Z*tau'.  With w = w_red + m + n*tau' and w_red
+    reduced to the cell of tau':
+    zeta_R(w) = eta1' w_red + theta1'(w_red)/theta1(w_red) + m eta1' + n eta2',
+    wp_R = -zeta_R' and wp_R' = -zeta_R''.  Lattice coordinates of w_red lie in
+    [-1/2, 1/2], so |w_red| is its distance to the nearest point of
+    Z + Z*tau' wherever the guard matters, and |w_red| |lam| the distance
+    from z to Z + Z*tau: the guard is |w_red| < POLE_GUARD/|lam|."""
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z_red, m, n = reduce_to_cell(z, L.tau)
-    near = np.abs(z_red) < POLE_GUARD
+    R = L if L.reduced is None else L.reduced
+    w = z if L.reduced is None else np.asarray(z, dtype=complex) / L.lam
+    w_red, m, n = reduce_to_cell(w, R.tau)
+    near = np.abs(w_red) < POLE_GUARD / abs(L.lam)
     if np.any(near):
-        bad = np.asarray(z, dtype=complex)[near]
+        bad = np.broadcast_to(np.asarray(z, dtype=complex), near.shape)[near]
         raise PoleError(
             f"evaluation point within pole guard {POLE_GUARD:g} of a "
-            f"lattice point (e.g. z = {np.ravel(bad)[0]})"
+            f"lattice point (e.g. z = {bad[0]})"
         )
-    th, th1, th2, th3 = _theta1_block(z_red, L.q)
-    zeta = L.eta1 * z_red + th1 / th + m * L.eta1 + n * L.eta2
-    p = -L.eta1 - (th2 * th - th1 * th1) / (th * th)
+    th, th1, th2, th3 = _theta1_block(w_red, R.q)
+    zeta = R.eta1 * w_red + th1 / th + m * R.eta1 + n * R.eta2
+    p = -R.eta1 - (th2 * th - th1 * th1) / (th * th)
     pp = -(th3 * th * th - 3.0 * th2 * th1 * th + 2.0 * th1 ** 3) / th ** 3
+    if L.reduced is not None:
+        zeta, p, pp = zeta / L.lam, p / L.lam ** 2, pp / L.lam ** 3
     if scalar:
         return complex(zeta), complex(p), complex(pp)
     return zeta, p, pp

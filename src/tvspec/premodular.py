@@ -148,6 +148,9 @@ def modular_identity(n: int, r: float, s: float, tau: complex, gamma) -> dict:
 
 # ── boundary scans ────────────────────────────────────────────────────────
 
+_BLOCK = 4096   # (lattice, grid point) pairs per z_n call, as in hill
+
+
 def rs_grid_default(nr: int = 20, ns: int = 20):
     """(r, s) grid filling (0,1) x (0,1/2) on offset midpoints.  The row
     r = 1/2 (hit when nr is odd) is dropped: those points are not
@@ -186,13 +189,16 @@ def boundary_nonvanishing_scan(
     nonvanishing for every non-half-torsion (r, s) on the whole boundary;
     the floor is an empirical regression guard, not a proved bound.
 
-    Each lattice is built once and z_n is evaluated on the whole (r, s)
-    grid in one array call.  Every sampled |Z^(n)| is returned as the
-    (len(taus), len(grid)) array "values", with the grid as arrays "r"
-    and "s" and the boundary points as "taus".  The argmin is the first
-    minimum in (tau index, grid index) order; a NaN value fails the
-    verdict.  Raises ValueError unless floor is finite and positive (a
-    floor <= 0 passes any values) and both grids are non-empty."""
+    The boundary taus go in blocks of about _BLOCK (lattice, grid point)
+    pairs: each block is one batch of lattices (every tau reduced on its
+    own, so the thin lattices near the cusps 0 and 1 cost what thick ones
+    do) and one z_n call on the whole (r, s) grid.  Every sampled
+    |Z^(n)| is returned as the (len(taus), len(grid)) array "values",
+    with the grid as arrays "r" and "s" and the boundary points as
+    "taus".  The argmin is the first minimum in (tau index, grid index)
+    order; a NaN value fails the verdict.  Raises ValueError unless floor
+    is finite and positive (a floor <= 0 passes any values) and both
+    grids are non-empty."""
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError(f"floor must be finite and > 0, got {floor}")
     if rs_grid is None:
@@ -200,25 +206,29 @@ def boundary_nonvanishing_scan(
     if tau_grid is None:
         tau_grid = boundary_tau_samples()
     rs = np.array([(float(r), float(s)) for r, s in rs_grid]).reshape(-1, 2)
-    taus = [complex(t) for t in np.ravel(tau_grid)]
+    taus = np.asarray(tau_grid, dtype=complex).ravel()
     for name, grid in (("rs_grid", rs), ("tau_grid", taus)):
         if len(grid) == 0:
             raise ValueError(f"{name} must not be empty")
     r, s = rs[:, 0], rs[:, 1]
-    vals = np.array([np.abs(z_n(make_lattice(tau), r, s, n)) for tau in taus])
+    per = max(1, _BLOCK // len(rs))
+    vals = np.concatenate([
+        np.abs(z_n(make_lattice(taus[lo:lo + per]), r[:, None], s[:, None],
+                   n)).T
+        for lo in range(0, len(taus), per)])
     it, ig = np.unravel_index(np.argmin(vals), vals.shape)
     best = float(vals[it, ig])
     return {
         "n": n,
         "min_abs": best,
-        "argmin": (float(r[ig]), float(s[ig]), taus[it]),
+        "argmin": (float(r[ig]), float(s[ig]), complex(taus[it])),
         "points": vals.size,
         "floor": floor,
         "passed": best > floor,
         "values": vals,
         "r": r,
         "s": s,
-        "taus": np.array(taus),
+        "taus": taus,
     }
 
 

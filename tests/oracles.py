@@ -68,3 +68,31 @@ def wp_ref(z, tau):
 def wp_prime_ref(z, tau):
     """Derivative of wp_ref by mpmath differentiation at full precision."""
     return complex(mp.diff(lambda w: _wp_ref_mp(w, tau), mp.mpc(z)))
+
+
+def _log_theta_values(z, tau):
+    """eta1, zeta(z), wp(z) and wp'(z) in mpmath from the first three
+    v-derivatives of theta1 at v = pi z (no numerical differentiation)."""
+    q = _nome(tau)
+    z = mp.mpc(z)
+    t0, t1, t2, t3 = (mp.jtheta(1, mp.pi * z, q, k) for k in range(4))
+    eta1 = _eta1(q)
+    zeta = eta1 * z + mp.pi * t1 / t0
+    wp = -eta1 - mp.pi ** 2 * (t2 / t0 - (t1 / t0) ** 2)
+    wpp = -mp.pi ** 3 * (t3 / t0 - 3 * t2 * t1 / t0 ** 2 + 2 * (t1 / t0) ** 3)
+    return eta1, zeta, wp, wpp
+
+
+def wp_prime_theta_ref(z, tau):
+    """wp'(z) = -pi^3 d^2/dv^2 [theta1'/theta1](v), v = pi z, from the
+    v-derivatives of theta1 rather than by numerical differentiation."""
+    return complex(_log_theta_values(z, tau)[3])
+
+
+def z2_ref(r, s, tau):
+    """Z^(2)_{r,s}(tau) = Z^3 - 3 wp Z - wp' at z = r + s*tau, with
+    Z = zeta(z) - r*eta1 - s*eta2 and eta2 from the Legendre relation."""
+    eta1, zeta, wp, wpp = _log_theta_values(r + s * tau, tau)
+    eta2 = eta1 * mp.mpc(tau) - 2j * mp.pi
+    Z = zeta - r * eta1 - s * eta2
+    return complex(Z ** 3 - 3 * wp * Z - wpp)

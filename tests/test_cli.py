@@ -561,6 +561,8 @@ def test_emit_csv_without_rows_is_an_empty_header(capsys):
     args = argparse.Namespace(command="test", format="csv", out=None)
     cli.emit({}, None, args)
     assert capsys.readouterr().out.split("\r\n")[2:] == ["", ""]
+    cli.emit({}, {"a": [], "b": np.zeros(0)}, args)
+    assert capsys.readouterr().out.split("\r\n")[2:] == ["a,b", ""]
 
 
 def test_emit_csv_refuses_ragged_columns(capsys, tmp_path):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lattice_ref, wp_prime_ref, wp_ref, zeta_ref
+from oracles import (
+    lattice_ref,
+    wp_prime_ref,
+    wp_prime_theta_ref,
+    wp_ref,
+    z2_ref,
+    zeta_ref,
+)
 from tvspec.elliptic import (
     POLE_GUARD,
     make_lattice,
@@ -13,7 +20,7 @@ from tvspec.elliptic import (
     wp_series_origin,
     zeta_wp_wp_prime,
 )
-from tvspec.errors import PoleError
+from tvspec.errors import NonConvergenceError, PoleError
 from tvspec.hill import _nearest_lattice_distance
 from tvspec.premodular import z_n
 
@@ -291,11 +298,9 @@ def test_lattice_batch_matches_lattices_alone():
             if abs(got - want) > 1e-13 * scale:
                 # In the batch a lattice may get Eisenstein terms below
                 # TRUNCATION_TOL that it does not get alone, and the
-                # nome's powers round differently.  Near the cusps 0 and 1
-                # at Im tau ~ 0.05, where the kernel itself is only good to
-                # ~1e-10, e2 = wp(tau/2) cancels badly and both rounding
-                # errors grow; there the batch must be no farther from
-                # mpmath than the lattice alone.
+                # nome's powers round differently; a lattice that still
+                # differs must be no farther from mpmath than the lattice
+                # alone.
                 ref = ref or lattice_ref(complex(tau))
                 assert abs(got - ref[name]) <= 2 * abs(want - ref[name]), \
                     (tau, name)
@@ -335,3 +340,75 @@ def test_z_n_over_a_lattice_batch_matches_lattices_alone():
     for value, tau in zip(wp(z, B), BATCH_TAUS):
         L = make_lattice(complex(tau))
         assert abs(value - wp(complex(0.3 + 0.2 * tau), L)) <= 1e-9 * abs(value)
+
+
+# thin lattices, Im tau down to 0.01: on the cusps 0 and 1 of F0, at
+# Re tau = 1/2 and off the strip; the series run on the reduced lattice
+THIN_TAUS = (0.01j, 0.02j, 0.05j, 0.9975 + 0.05j, 0.5 + 0.01j, 2.7 + 0.04j,
+             -0.4 + 0.02j)
+
+
+# 1000.3 + 0.05i lies by the cusp 3001/3: lam = 3 tau - 3001 cancels from
+# ~3000 to ~0.18, and forming 3 Re tau - 3001 as a plain product leaves
+# ~7e-12 in the e_k
+@pytest.mark.parametrize("tau", THIN_TAUS + (1000.3 + 0.05j,))
+def test_thin_lattice_constants_match_theta_reference(tau):
+    L = make_lattice(tau)
+    ref = lattice_ref(tau)
+    for name in ("e1", "e2", "e3", "g2", "g3", "eta1"):
+        got = getattr(L, name)
+        assert abs(got - ref[name]) <= 1e-13 * max(1.0, abs(ref[name])), name
+
+
+@pytest.mark.parametrize("tau", THIN_TAUS)
+def test_thin_lattice_point_values_match_theta_reference(tau):
+    L = make_lattice(tau)
+    ref = lattice_ref(tau)
+    # wp' is accurate to its natural scale |e|^(3/2), not relative to
+    # itself: at most of these points, far from the real axis of the tall
+    # reduced lattice, it is exponentially small (9e-35 at z = 0.31 + 0.17
+    # tau, tau = 0.01i)
+    scale = max(abs(ref[k]) for k in ("e1", "e2", "e3")) ** 1.5
+    for z in (0.31 + 0.17 * tau, 0.12 + 0.41 * tau, -0.23 + 0.29 * tau):
+        zeta, p, pp = zeta_wp_wp_prime(z, L)
+        for got, want in ((zeta, zeta_ref(z, tau)), (p, wp_ref(z, tau))):
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), z
+        assert abs(pp - wp_prime_theta_ref(z, tau)) <= 1e-13 * scale, z
+        # and through wp'^2 = 4 wp^3 - g2 wp - g3 with the oracle's g2, g3
+        terms = (4 * p ** 3, ref["g2"] * p, ref["g3"])
+        lhs = pp * pp
+        rhs = terms[0] - terms[1] - terms[2]
+        assert abs(lhs - rhs) <= 1e-13 * max(map(abs, terms)), z
+
+
+def test_z2_at_a_thin_boundary_lattice_matches_mpmath():
+    # a boundary-scan point next to the cusp 1 of F0
+    tau, r, s = 0.9975 + 0.05j, 0.875, 0.1375
+    want = z2_ref(r, s, tau)
+    got = z_n(make_lattice(tau), r, s, 2)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("tau", (0.05j, 0.9975 + 0.05j))
+def test_thin_lattice_in_a_batch_equals_it_alone(tau):
+    B = make_lattice(np.array([tau, 1j, 0.05j]))
+    L = make_lattice(tau)
+    e = max(abs(L.e1), abs(L.e2), abs(L.e3))
+    scales = {"e1": e, "e2": e, "e3": e, "g2": e ** 2, "g3": e ** 3,
+              "eta1": abs(L.eta1)}
+    for name, scale in scales.items():
+        assert abs(getattr(B, name)[0] - getattr(L, name)) <= 1e-14 * scale, \
+            name
+
+
+def test_make_lattice_refuses_a_reduced_lattice_whose_theta_terms_overflow():
+    # Im tau' = 150 is the last height the theta block evaluates finitely;
+    # 0.005i reduces to 200i, and 0.5 + 0.001i to 250i
+    L = make_lattice(150j)
+    assert np.all(np.isfinite([L.e1, L.e2, L.e3, L.g2, L.g3, L.eta1]))
+    # the golden ratio's partial quotients keep |c| growing toward 1e9
+    golden = (5 ** 0.5 - 1) / 2 + 1e-18j
+    for bad in (151j, 0.005j, 0.5 + 0.001j, np.array([1j, 0.005j]), golden,
+                np.array([golden, 1j])):
+        with pytest.raises(NonConvergenceError):
+            make_lattice(bad)
