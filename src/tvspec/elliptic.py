@@ -357,7 +357,12 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     wp_R = -zeta_R' and wp_R' = -zeta_R''.  Lattice coordinates of w_red lie in
     [-1/2, 1/2], so |w_red| is its distance to the nearest point of
     Z + Z*tau' wherever the guard matters, and |w_red| |lam| the distance
-    from z to Z + Z*tau: the guard is |w_red| < POLE_GUARD/|lam|."""
+    from z to Z + Z*tau: the guard is |w_red| < POLE_GUARD/|lam|.
+
+    zeta and wp are accurate relative to themselves.  wp' is accurate to
+    its natural scale max|e_k|^(3/2), not relative to itself: where it is
+    exponentially small (most points of a thin lattice, tau = 0.01i for
+    one) the theta quotient cancels to rounding noise of that scale."""
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     R = L if L.reduced is None else L.reduced
     w = z if L.reduced is None else np.asarray(z, dtype=complex) / L.lam

@@ -22,9 +22,11 @@ def polyval_and_deriv(coeffs: np.ndarray, x: np.ndarray):
     """Horner evaluation of p(x) and p'(x) for ascending coeffs."""
     p = np.zeros_like(x, dtype=complex)
     dp = np.zeros_like(x, dtype=complex)
-    for c in coeffs[::-1]:
-        dp = dp * x + p
-        p = p * x + c
+    for c in reversed(np.asarray(coeffs).tolist()):
+        dp *= x
+        dp += p
+        p *= x
+        p += c
     return p, dp
 
 
@@ -70,8 +72,10 @@ def residuals(coeffs, roots) -> np.ndarray:
 class ComplexPoly:
     """Dense complex polynomial, ascending coefficients.
 
-    Thin immutable wrapper over a coefficient array; arithmetic delegates
-    to numpy.polynomial.polynomial.
+    Thin immutable wrapper over a coefficient tuple.  A product is the
+    plain convolution of the coefficients (``np.convolve``), so its degree
+    is the sum of the degrees; evaluation is
+    numpy.polynomial.polynomial.polyval.
     """
 
     coeffs: tuple
@@ -100,9 +104,7 @@ class ComplexPoly:
         return ComplexPoly(tuple(c / lead))
 
     def mul(self, other: "ComplexPoly") -> "ComplexPoly":
-        return ComplexPoly(
-            tuple(np.polynomial.polynomial.polymul(self.asarray(), other.asarray()))
-        )
+        return ComplexPoly(tuple(np.convolve(self.asarray(), other.asarray())))
 
     def roots(self) -> np.ndarray:
         return polynomial_roots(self.asarray())
@@ -112,11 +114,12 @@ def coefficient_distance(p: ComplexPoly, q: ComplexPoly) -> float:
     """max |coef difference| / max(1, |coef|), after zero-padding to a
     common length.  The relative-agreement metric used by route checks."""
     a, b = p.asarray(), q.asarray()
-    n = max(len(a), len(b))
-    a = np.pad(a, (0, n - len(a)))
-    b = np.pad(b, (0, n - len(b)))
+    if len(a) < len(b):
+        a, b = b, a
+    diff = a.copy()
+    diff[: len(b)] -= b
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b)) / scale)
+    return float(np.max(np.abs(diff)) / scale)
 
 
 def compose_affine(coeffs, a: complex, b: complex) -> np.ndarray:
@@ -126,7 +129,7 @@ def compose_affine(coeffs, a: complex, b: complex) -> np.ndarray:
     out = np.array([c[-1]], dtype=complex)
     lin = np.array([b, a], dtype=complex)
     for k in range(len(c) - 2, -1, -1):
-        out = np.polynomial.polynomial.polymul(out, lin)
+        out = np.convolve(out, lin)
         out[0] += c[k]
     return out
 

@@ -21,17 +21,22 @@ Two independent routes are implemented and cross-checked:
 
 * `q_via_phi_ansatz` — principal-part elimination.  Requiring
   Phi''' - 4(V+E)Phi' - 2V'Phi (an odd elliptic function) to be pole-free
-  produces an affine matrix pencil A0 + E*A1 in the ansatz coefficients,
-  built as one matrix per singular half period on a fixed window of
-  Laurent orders and applied to every ansatz column at once; the unique
-  polynomial null vector with the normalization above is found by a
-  single block least-squares solve, and Q is assembled by polynomial
-  arithmetic in E at a generic point z0 (verified at an independent z1 and
-  a held-out E*).  Each of z0 and z1 costs one evaluator call, on the
-  shifted points z + w_k/2 of the active half periods, which gives the
-  basis values, their derivatives and V at once.  The solve guards (rank
-  ratio 1e-8, z0/z1 and held-out agreement 1e-9) and the root residual
-  factor (1e-8) are fixed constants.
+  produces an affine matrix pencil A0 + E*A1 in the ansatz coefficients:
+  at each singular half period w_i/2 the Laurent coefficients of orders
+  -1, -3, ..., -(2n_i+1), for every ansatz column at once.  The lowest
+  pole order, -(2n_i+3), is no row: only the leading term of
+  wp(u + w_i/2)^(n_i) reaches it, with the indicial factor
+  n_i(n_i+1) - N_i = 0 (N_i u^-2 leads V), so it is exactly zero.  The
+  unique polynomial null vector with the normalization above solves one
+  block least-squares problem; a single SVD gives its rank guard and,
+  through its factors, the first solve and every step of the iterative
+  refinement.  Q is assembled by polynomial arithmetic in E at a generic
+  point z0, verified at an independent z1 and at a held-out E*.  One
+  evaluator call on the shifted points z + w_k/2 of the active half
+  periods, for z0 and z1 together, gives the basis values, their
+  derivatives and V at both.  The solve guards (rank ratio 1e-8, block
+  residual 1e-8, z0/z1 and held-out agreement 1e-9) and the root
+  residual factor (1e-8) are fixed constants.
 
 * `q_via_factorization` — products of Heun polynomial families P^(0..3)
   selected by the branch tables (even total multiplicity); odd totals go
@@ -50,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .elliptic import (
     TRUNCATION_TOL,
@@ -140,82 +144,100 @@ def _as_tuple(n) -> tuple:
 # ── principal-part pencil ─────────────────────────────────────────────────
 
 def _pencil(L: LatticeData, n):
-    """Affine condition pencil (A0, A1): rows are the odd principal-part
-    coefficients of Phi''' - 4(V+E)Phi' - 2V'Phi at every singular half
-    period, columns the ansatz unknowns (c0 first, then each b_j^k).
+    """Affine condition pencil (A0, A1): rows are the principal-part
+    coefficients of Phi''' - 4(V+E)Phi' - 2V'Phi at the odd orders
+    -1, -3, ..., -(2n_i+1) around every singular half period w_i/2 (the
+    even ones vanish, every term being odd about w_i/2), columns the
+    ansatz unknowns (c0 first, then each b_j^k).
+
+    The lowest order the poles reach, -(2n_i+3), is not a row: only the
+    leading u^(-2n_i) of wp(u + w_i/2)^(n_i) reaches it, with the
+    coefficient 4(2n_i+1)(N_i - n_i(n_i+1)) in A0, where N_i u^-2 leads V,
+    and nothing in A1.  With N_i = n_i(n_i+1) that row is exactly 0.
 
     Every series lives on one window of Laurent orders lo..hi (entry
-    o - lo holds the u^o coefficient), where d/du is the matrix D and
-    multiplication by a series its Toeplitz matrix T.  At each singular
-    half period G0 is the one matrix D^3 - 4 T(V) D - 2 T(DV), and G1 is
-    -4 D, applied to all ansatz columns at once.
+    o - lo holds the u^o coefficient): products are truncated
+    convolutions, d/du shifts by one entry and scales by the order, and
+    multiplication by V or V' is formed only on the kept rows.  At each
+    singular half period G0 = F''' - 4 V F' - 2 V' F and G1 = -4 F' are
+    built for all ansatz columns F at once.
     """
     nmax = max(n)
-    # G0's lowest order is -2*nmax - 3; truncating at hi leaves every
-    # order up to 5 exact, and only orders up to -1 are read
-    lo, hi = -2 * nmax - 4, 2 * nmax + 6
+    # every series vanishes below order -2*nmax - 1 (that of F'); the rows
+    # read V up to order 2*n_i and F up to order 2, and a power
+    # wp(u + w_i/2)^j truncated at hi is exact up to hi - 2(j - 1)
+    lo, hi = -2 * nmax - 1, 2 * nmax
     orders = np.arange(lo, hi + 1)
     w = len(orders)
-    # row m: wp(u + w_m/2) around u = 0
-    base = np.zeros((4, w), dtype=complex)
-    base[0, -2 - lo] = 1.0
-    base[0, 2 - lo :: 2] = wp_series_origin(L, hi // 2)[1:]
-    for m in (1, 2, 3):
-        base[m, -lo:] = wp_series_half(L, m, hi)
-    D = np.diag(orders[1:].astype(complex), 1)
-    # T(a)[i, j] is the coefficient of a at order i - j, entry i - j - lo
-    lag = np.subtract.outer(np.arange(w), np.arange(w)) - lo
-    inside = (lag >= 0) & (lag < w)
-    lag[~inside] = 0
-
-    def toeplitz(a):
-        return np.where(inside, a[lag], 0.0)
+    active = [k for k in range(4) if n[k]]
+    # powers[m][j-1]: wp(u + w_m/2)^j around u = 0, for each partner index
+    # m = i^k that occurs, up to the largest n_k paired with it
+    top = {}
+    for i in active:
+        for k in active:
+            top[i ^ k] = max(top.get(i ^ k, 0), n[k])
+    powers = {}
+    for m, jmax in top.items():
+        b = np.zeros(w, dtype=complex)
+        if m == 0:
+            b[-2 - lo] = 1.0
+            b[2 - lo :: 2] = wp_series_origin(L, hi // 2)[1:]
+        else:
+            b[-lo:] = wp_series_half(L, m, hi)
+        powers[m] = [b]
+        for _ in range(jmax - 1):
+            powers[m].append(np.convolve(powers[m][-1], b)[-lo : w - lo])
 
     one = (orders == 0).astype(complex)
     blocks0, blocks1 = [], []
-    for i in range(4):
-        if n[i] == 0:
-            continue
-        # around w_i/2, wp(z + w_k/2) is the base row of partner index i^k
-        cols, v = [one], np.zeros(w, dtype=complex)
-        for k in range(4):
-            if n[k] == 0:
-                continue
-            b = base[i ^ k]
-            tb = toeplitz(b)
-            powers = [b]
-            for _ in range(n[k] - 1):
-                powers.append(tb @ powers[-1])
-            cols.extend(reversed(powers))  # b_j^k multiplies wp^(n_k - j)
-            v += n[k] * (n[k] + 1) * b
-        F = np.column_stack(cols)
-        DF = D @ F
-        G0 = D @ (D @ DF) - 4.0 * (toeplitz(v) @ DF) - 2.0 * (toeplitz(D @ v) @ F)
-        rows = -(2 * np.arange(n[i] + 2) + 1) - lo  # orders -1, -3, ...
-        blocks0.append(G0[rows])
-        blocks1.append(-4.0 * DF[rows])
+    for i in active:
+        # around w_i/2, wp(z + w_k/2) is the base series of index i^k, and
+        # b_j^k multiplies its power n_k - j
+        F = [one]
+        v = np.zeros(w, dtype=complex)
+        for k in active:
+            F.extend(powers[i ^ k][n[k] - 1 :: -1])
+            v += n[k] * (n[k] + 1) * powers[i ^ k][0]
+        F = np.array(F)
+        DF = np.zeros_like(F)
+        DF[:, :-1] = F[:, 1:] * orders[1:]
+        Dv = np.zeros(w, dtype=complex)
+        Dv[:-1] = v[1:] * orders[1:]
+        rows = -(2 * np.arange(n[i] + 1) + 1)   # orders -1, -3, ...
+        # T(a) on the kept rows: entry [r, c] is a at order rows[r] - orders[c],
+        # which never exceeds hi and is below lo (a zero) where lag < 0
+        lag = rows[:, None] - orders[None, :] - lo
+        tv = np.where(lag >= 0, v[lag], 0.0)
+        tdv = np.where(lag >= 0, Dv[lag], 0.0)
+        d3 = ((rows + 1) * (rows + 2) * (rows + 3))[:, None] * F[:, rows + 3 - lo].T
+        blocks0.append(d3 - 4.0 * (tv @ DF.T) - 2.0 * (tdv @ F.T))
+        blocks1.append(-4.0 * DF[:, rows - lo].T)
     return np.vstack(blocks0), np.vstack(blocks1)
 
 
-def _local_values(L: LatticeData, n, z: complex):
-    """Each ansatz basis function (pencil column order) with its first two
-    z-derivatives, and V(z), from one evaluator call on the active shifted
-    points z + w_k/2."""
+def _local_values(L: LatticeData, n, zs):
+    """For each point z of ``zs``: each ansatz basis function (pencil
+    column order) with its first two z-derivatives, and V(z).  One
+    evaluator call on the active shifted points z + w_k/2 of every z
+    serves them all."""
     ks = [k for k in range(4) if n[k]]
-    _, p, pp = zeta_wp_wp_prime(z + np.array([L.half_periods[k] for k in ks]), L)
+    shifts = np.array([L.half_periods[k] for k in ks])
+    _, ps, pps = zeta_wp_wp_prime(np.add.outer(np.asarray(zs), shifts), L)
+    out = []
     # Python complex scalars keep the arithmetic of a scalar evaluator call
-    p, pp = p.tolist(), pp.tolist()
-    vals, d1, d2 = [1.0 + 0j], [0.0 + 0j], [0.0 + 0j]
-    for k, pk, ppk in zip(ks, p, pp):
-        psk = 6.0 * pk * pk - L.g2 / 2.0
-        for w in range(n[k], 0, -1):
-            vals.append(pk ** w)
-            d1.append(w * pk ** (w - 1) * ppk)
-            d2.append(w * pk ** (w - 1) * psk
-                      + w * (w - 1) * pk ** max(w - 2, 0) * ppk * ppk)
-    v = sum(n[k] * (n[k] + 1) * pk for k, pk in zip(ks, p))
-    return (np.array(vals, dtype=complex), np.array(d1, dtype=complex),
-            np.array(d2, dtype=complex), complex(v))
+    for p, pp in zip(ps.tolist(), pps.tolist()):
+        vals, d1, d2 = [1.0 + 0j], [0.0 + 0j], [0.0 + 0j]
+        for k, pk, ppk in zip(ks, p, pp):
+            psk = 6.0 * pk * pk - L.g2 / 2.0
+            for w in range(n[k], 0, -1):
+                vals.append(pk ** w)
+                d1.append(w * pk ** (w - 1) * ppk)
+                d2.append(w * pk ** (w - 1) * psk
+                          + w * (w - 1) * pk ** max(w - 2, 0) * ppk * ppk)
+        v = sum(n[k] * (n[k] + 1) * pk for k, pk in zip(ks, p))
+        out.append((np.array(vals, dtype=complex), np.array(d1, dtype=complex),
+                    np.array(d2, dtype=complex), complex(v)))
+    return out
 
 
 def _assemble_q_at(local, vhat: np.ndarray, s: float):
@@ -226,16 +248,10 @@ def _assemble_q_at(local, vhat: np.ndarray, s: float):
     phi = vhat @ vals        # ascending polynomials in Ehat = E/s
     phi1 = vhat @ d1
     phi2 = vhat @ d2
-    p_i = np.array([v, s], dtype=complex)
-    qhat = npp.polyadd(
-        npp.polymul(p_i, npp.polymul(phi, phi)),
-        npp.polysub(npp.polymul(phi1, phi1) / 4.0, npp.polymul(phi, phi2) / 2.0),
-    )
+    # (v + s Ehat) phi^2 has degree 2g + 1, the other two terms 2g
+    qhat = np.convolve(np.array([v, s]), np.convolve(phi, phi))
+    qhat[:-1] += np.convolve(phi1, phi1) / 4.0 - np.convolve(phi, phi2) / 2.0
     g = len(vhat) - 1
-    deg = 2 * g + 1
-    if len(qhat) < deg + 1:
-        qhat = np.pad(qhat, (0, deg + 1 - len(qhat)))
-    qhat = qhat[: deg + 1]
     lead = qhat[-1] / s
     if abs(lead - 1.0) > 1e-6:
         raise CheckError(
@@ -243,7 +259,7 @@ def _assemble_q_at(local, vhat: np.ndarray, s: float):
             "normalization; ansatz solve is inconsistent"
         )
     # back to E: q_j = qhat_j * s^(2g - j), then exact monic normalization
-    coeffs = qhat * s ** (2.0 * g - np.arange(deg + 1))
+    coeffs = qhat * s ** (2.0 * g - np.arange(2 * g + 2))
     return ComplexPoly(tuple(coeffs / coeffs[-1]))
 
 
@@ -261,21 +277,29 @@ def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
     kernel for every E; writing the kernel as v(E) = sum_d v_d E^d with the
     c0 slot of v monic of degree g and the rest of degree < g, coefficient
     matching turns A(E) v(E) = 0 into one block-bidiagonal least-squares
-    problem.  E is rescaled internally, the stacked system is column
-    equilibrated, and the solution is polished by mixed-precision
-    iterative refinement (the system is tiny but its conditioning grows
-    quickly with the genus).  Guards raise CheckError: block residual or
-    smallest singular value out of bounds (kernel not one-dimensional),
-    mismatch between the assemblies at the points z0 and z1, or failure
-    at a held-out energy.
+    problem.  E is rescaled internally and the stacked system is column
+    equilibrated.  One SVD of it gives the rank guard (smallest/largest
+    singular value ratio) and the pseudo-inverse, which makes the first
+    solve and every step of a mixed-precision iterative refinement
+    (residuals in clongdouble, at most 4 steps; the system is tiny but its
+    conditioning grows quickly with the genus).  Both assembly points z0
+    and z1 come from one evaluator call.  Guards raise CheckError: block
+    residual or smallest singular value out of bounds (kernel not
+    one-dimensional), mismatch between the assemblies at z0 and z1, or
+    failure at a held-out energy.
+
+    With ``details`` the diagnostics dict holds ``lstsq_residual`` (the
+    relative residual of the block solve), ``sv_ratio``,
+    ``refine_steps`` (refinement steps taken), ``z_consistency``,
+    ``holdout_error`` and ``scale`` (the energy scale s, E = s*Ehat).
     """
     n = _as_tuple(n)
     g = genus_of(n)
     # anchor the evaluation points near the dominant pole so the leading
     # basis term dominates the quadratic form (avoids cancellation)
     anchor = -L.half_periods[max(range(4), key=lambda k: n[k])]
-    local0 = _local_values(L, n, anchor + 0.27 + 0.31 * L.tau)
-    local1 = _local_values(L, n, anchor + 0.41 + 0.23 * L.tau)
+    local0, local1 = _local_values(L, n, (anchor + 0.27 + 0.31 * L.tau,
+                                          anchor + 0.41 + 0.23 * L.tau))
     A0, A1 = _pencil(L, n)
     emax = max(abs(e) for e in L.es)
     s = 1.0 + sum(nk * (nk + 1) for nk in n) * emax
@@ -301,22 +325,23 @@ def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
 
     col_norm = np.linalg.norm(big, axis=0)
     col_norm[col_norm == 0.0] = 1.0
-    beq = big / col_norm
-    sol_eq, _, _, sv = np.linalg.lstsq(beq, rhs, rcond=None)
+    u, sv, vh = np.linalg.svd(big / col_norm, full_matrices=False)
     if sv[-1] < _RANK_TOL * sv[0]:
         raise CheckError(
             "principal-part kernel is not one-dimensional "
             f"(singular value ratio {sv[-1] / sv[0]:.2e})"
         )
-    sol = sol_eq / col_norm
+    # least-squares solution of big x = b: x = pinv @ b
+    pinv = (vh.conj().T / sv) @ u.conj().T / col_norm[:, None]
+    sol = pinv @ rhs
     big_hi = big.astype(np.clongdouble)
     rhs_hi = rhs.astype(np.clongdouble)
-    for _ in range(4):
+    for refine_steps in range(1, 5):
         r = np.asarray(rhs_hi - big_hi @ sol.astype(np.clongdouble),
                        dtype=complex)
-        dx, _, _, _ = np.linalg.lstsq(beq, r, rcond=None)
-        sol = sol + dx / col_norm
-        if np.linalg.norm(dx / col_norm) <= 1e-15 * np.linalg.norm(sol):
+        dx = pinv @ r
+        sol = sol + dx
+        if np.linalg.norm(dx) <= 1e-15 * np.linalg.norm(sol):
             break
     resid = np.linalg.norm(big @ sol - rhs) / max(1.0, np.linalg.norm(rhs))
     if resid > 1e-8:
@@ -349,6 +374,7 @@ def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
         return q0, {
             "lstsq_residual": float(resid),
             "sv_ratio": float(sv[-1] / sv[0]),
+            "refine_steps": refine_steps,
             "z_consistency": float(zdist),
             "holdout_error": float(holdout),
             "scale": float(s),
@@ -467,7 +493,11 @@ def _check_root_residuals(coeffs: np.ndarray, r: np.ndarray) -> float:
     meaningful for small roots of large-coefficient polynomials."""
     res = residuals(coeffs, r)
     mags = np.abs(r)
-    horner = npp.polyval(mags, np.abs(coeffs))
+    mag_coeffs = np.abs(coeffs).tolist()
+    horner = np.full_like(mags, mag_coeffs[-1])
+    for c in reversed(mag_coeffs[:-1]):
+        horner *= mags
+        horner += c
     bound = _RESID_FACTOR * np.maximum((1.0 + mags) ** (len(coeffs) - 1),
                                        horner)
     if np.any(res > bound):

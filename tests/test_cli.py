@@ -277,6 +277,19 @@ def test_qpoly_c1_tuple_on_the_axis_has_complex(capsys):
     assert doc["classification"] == "has_complex"
 
 
+@pytest.mark.parametrize("argv", [("--n", "2,2,1,1", "--tau", "0.3+1.1i"),
+                                  ("--n", "3,0,0,0", "--tau", "1i")])
+def test_qpoly_reports_the_phi_solve(capsys, argv):
+    code, out, _ = run(capsys, "qpoly", *argv)
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    steps = diag["refine_steps"]
+    assert isinstance(steps, int) and 0 <= steps <= 4
+    for key in ("lstsq_residual", "sv_ratio", "z_consistency",
+                "holdout_error", "scale"):
+        assert isinstance(diag[key], float), key
+
+
 def test_gap_tolerance_that_classified_is_reported(capsys, tmp_path):
     code, out, _ = run(capsys, "qpoly", "--n", "2,0,0,0", "--tau", "1i")
     assert code == 0

@@ -300,7 +300,7 @@ def test_tau_scan_records_numerical_failures(monkeypatch):
 @pytest.mark.parametrize("n", [(1, 0, 0, 0), (2, 1, 1, 0), (3, 0, 0, 0),
                                (1, 1, 1, 1), (0, 0, 1, 4)])
 def test_phi_ansatz_evaluates_each_point_once(n, monkeypatch):
-    # one evaluator call on the shifted points at z0 and one at z1; the
+    # one evaluator call on the shifted points of both z0 and z1; the
     # held-out energy reuses the values at z0
     L = lattice(1.1j)
     calls = []
@@ -313,28 +313,28 @@ def test_phi_ansatz_evaluates_each_point_once(n, monkeypatch):
     monkeypatch.setattr(spectral, "zeta_wp_wp_prime", counting)
     q_via_phi_ansatz(L, n)
     active = sum(1 for nk in n if nk)
-    assert calls == [active, active]
+    assert calls == [2 * active]
 
 
 def test_local_values_match_per_point_evaluation():
-    # reference: one scalar evaluator call per active half period, as the
-    # basis values were built before they shared one array call
+    # reference: one scalar evaluator call per point and active half
+    # period, as the basis values were built before they shared one call
     L = lattice(0.3 + 1.1j)
     n = (2, 1, 0, 3)
-    z = 0.13 + 0.29j
-    vals, d1, d2, v = spectral._local_values(L, n, z)
-    ref = [(1.0, 0.0, 0.0)]
-    v_ref = 0.0
-    for k in range(4):
-        _, p, pp = zeta_wp_wp_prime(z + L.half_periods[k], L)
-        v_ref += n[k] * (n[k] + 1) * p
-        for w in range(n[k], 0, -1):
-            ref.append((p ** w, w * p ** (w - 1) * pp,
-                        w * p ** (w - 1) * (6 * p * p - L.g2 / 2)
-                        + w * (w - 1) * p ** max(w - 2, 0) * pp * pp))
-    for got, want in zip((vals, d1, d2), np.array(ref).T):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-    assert v == pytest.approx(v_ref, rel=1e-14)
+    zs = (0.13 + 0.29j, -0.37 + 0.52j)
+    for z, (vals, d1, d2, v) in zip(zs, spectral._local_values(L, n, zs)):
+        ref = [(1.0, 0.0, 0.0)]
+        v_ref = 0.0
+        for k in range(4):
+            _, p, pp = zeta_wp_wp_prime(z + L.half_periods[k], L)
+            v_ref += n[k] * (n[k] + 1) * p
+            for w in range(n[k], 0, -1):
+                ref.append((p ** w, w * p ** (w - 1) * pp,
+                            w * p ** (w - 1) * (6 * p * p - L.g2 / 2)
+                            + w * (w - 1) * p ** max(w - 2, 0) * pp * pp))
+        for got, want in zip((vals, d1, d2), np.array(ref).T):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert v == pytest.approx(v_ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [(1, 0, 0, 0), (2, 1, 1, 0), (4, 0, 0, 3),
@@ -343,15 +343,17 @@ def test_pencil_rows_match_contour_integrals(n):
     # independent route: the Laurent coefficients of G0 = F''' - 4VF' - 2V'F
     # and G1 = -4F' by the trapezoid rule on a circle of radius 0.2
     # (128 nodes) around each singular w_i/2, from evaluator values of wp
-    # and wp' with wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp'
+    # and wp' with wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp'.  The pencil
+    # keeps the orders -1 ... -(2n_i+1); the contour coefficients show that
+    # the lowest pole order, -(2n_i+3), carries nothing in G0 or G1.
     u = 0.2 * np.exp(2j * np.pi * np.arange(128) / 128)
     for tau in (1j, 0.3 + 1.1j, -0.4 + 0.9j):
         L = lattice(tau)
         A0, A1 = spectral._pencil(L, n)
-        assert A0.shape == A1.shape == (sum(nk + 2 for nk in n if nk), 1 + sum(n))
+        assert A0.shape == A1.shape == (sum(nk + 1 for nk in n if nk), 1 + sum(n))
         # the "constant ansatz term leaked" guard relies on this
         assert np.all(A1[:, 0] == 0)
-        rows0, rows1 = [], []
+        rows0, rows1, low0, low1 = [], [], [], []
         for i in range(4):
             if n[i] == 0:
                 continue
@@ -373,12 +375,79 @@ def test_pencil_rows_match_contour_integrals(n):
                               + w * p ** (w - 1) * p3)
             f, f1, f3 = np.array(f), np.array(f1), np.array(f3)
             g0, g1 = f3 - 4 * v * f1 - 2 * v1 * f, -4 * f1
-            for r in range(-1, -2 * n[i] - 4, -2):
+            for r in range(-1, -2 * n[i] - 2, -2):
                 weights = u ** (-r) / len(u)
                 rows0.append(g0 @ weights)
                 rows1.append(g1 @ weights)
-        for got, want in ((A0, np.array(rows0)), (A1, np.array(rows1))):
+            weights = u ** (2 * n[i] + 3) / len(u)
+            low0.append(g0 @ weights)
+            low1.append(g1 @ weights)
+        for got, want, low in ((A0, np.array(rows0), np.array(low0)),
+                               (A1, np.array(rows1), np.array(low1))):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+            assert np.max(np.abs(low)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _block_lstsq_reference(L, n):
+    """Q at z0 and the singular value ratio from the block solve as one
+    lstsq call plus up to 4 clongdouble refinement steps, each its own
+    lstsq call; None where its guards refuse."""
+    g = genus_of(n)
+    anchor = -L.half_periods[max(range(4), key=lambda k: n[k])]
+    local0, _ = spectral._local_values(L, n, (anchor + 0.27 + 0.31 * L.tau,
+                                              anchor + 0.41 + 0.23 * L.tau))
+    A0, A1 = spectral._pencil(L, n)
+    s = 1.0 + sum(nk * (nk + 1) for nk in n) * max(abs(e) for e in L.es)
+    m_rows, nunk = A0.shape
+    big = np.zeros(((g + 1) * m_rows, g * nunk), dtype=complex)
+    for d in range(g):
+        big[d * m_rows : (d + 1) * m_rows, d * nunk : (d + 1) * nunk] = A0
+        big[(d + 1) * m_rows : (d + 2) * m_rows, d * nunk : (d + 1) * nunk] = s * A1
+    rhs = np.zeros((g + 1) * m_rows, dtype=complex)
+    rhs[g * m_rows :] = -A0[:, 0]
+    col_norm = np.linalg.norm(big, axis=0)
+    col_norm[col_norm == 0.0] = 1.0
+    beq = big / col_norm
+    sol_eq, _, _, sv = np.linalg.lstsq(beq, rhs, rcond=None)
+    if sv[-1] < 1e-8 * sv[0]:
+        return None
+    sol = sol_eq / col_norm
+    for _ in range(4):
+        r = np.asarray(rhs.astype(np.clongdouble)
+                       - big.astype(np.clongdouble) @ sol.astype(np.clongdouble),
+                       dtype=complex)
+        dx = np.linalg.lstsq(beq, r, rcond=None)[0] / col_norm
+        sol = sol + dx
+        if np.linalg.norm(dx) <= 1e-15 * np.linalg.norm(sol):
+            break
+    if np.linalg.norm(big @ sol - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        return None
+    e_c0 = np.eye(nunk)[0]
+    vhat = np.vstack([sol.reshape(g, nunk), e_c0])
+    return spectral._assemble_q_at(local0, vhat, s), sv[-1] / sv[0]
+
+
+FOURS = [n for n in itertools.product(range(5), repeat=4)
+         if 4 in n and sum(n) <= 6]
+
+
+@pytest.mark.parametrize("tau, tuples", [(0.7j, FOURS), (1.3j, FOURS),
+                                         (0.3 + 1.1j, FOURS),
+                                         (1.1j, [(4, 4, 4, 4)])])
+def test_phi_solve_matches_block_lstsq(tau, tuples):
+    # the one-SVD solve against the per-step lstsq it replaced
+    L = lattice(tau)
+    answered = 0
+    for n in tuples:
+        ref = _block_lstsq_reference(L, n)
+        if ref is None:
+            continue
+        q, det = q_via_phi_ansatz(L, n, details=True)
+        assert coefficient_distance(q, ref[0]) <= 1e-12, n
+        assert det["sv_ratio"] == pytest.approx(ref[1], rel=1e-9), n
+        assert 1 <= det["refine_steps"] <= 4
+        answered += 1
+    assert answered == len(tuples)
 
 
 def test_held_out_check_catches_an_equal_error_at_both_points(monkeypatch):
