@@ -28,11 +28,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     n = tuple(args.n)
-    b_values = parse_range(args.b)
+    try:
+        result = tau_scan(n, parse_range(args.b))
+    except ValueError as exc:  # a bad tuple, no b values or a b <= 0
+        ap.error(str(exc))
+
     print(f"tuple {n}: genus {genus_of(n)}, "
           f"condition class {condition_class(n)}")
-
-    result = tau_scan(n, b_values)
 
     print(f"expected classification: {result.expected}")
     print(f"{'b':>8}  {'class':<14} {'max |Im E|':>12} {'min gap':>12}")

@@ -109,9 +109,12 @@ def parse_rs(text: str) -> tuple:
     if len(parts) != 2:
         raise UsageError(f"--rs wants r,s, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        r, s = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"--rs wants r,s, got {text!r}")
+    if not (np.isfinite(r) and np.isfinite(s)):
+        raise UsageError(f"--rs wants finite r,s, got {text!r}")
+    return r, s
 
 
 # ── serialization helpers ─────────────────────────────────────────────────
@@ -271,7 +274,7 @@ def cmd_qpoly(args) -> int:
         "route_used": rep.route,
         "route_discrepancy": rep.route_discrepancy,
         "factor_degrees": rep.factor_degrees,
-        "coefficients": list(rep.coeffs.coeffs),
+        "coefficients": rep.coeffs.tolist(),
         "roots": list(rr.roots),
         "classification": rr.classification,
         "has_complex": rr.classification == "has_complex",

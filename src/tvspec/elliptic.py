@@ -345,8 +345,8 @@ def make_lattice(tau) -> LatticeData:
 def zeta_wp_wp_prime(z, L: LatticeData):
     """(zeta(z), wp(z), wp'(z)) on Z + Z*tau from one cell reduction and
     one theta block.  Accepts scalars or arrays, and a batch L with tau on
-    the last axis of z; raises PoleError when a point lies within
-    POLE_GUARD of the lattice.
+    the last axis of z; raises ValueError when a point is not finite and
+    PoleError when a point lies within POLE_GUARD of the lattice.
 
     The series run on the reduced lattice Z + Z*tau' at w = z/lam
     (w = z when tau is reduced), and the values come back as
@@ -363,6 +363,8 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     its natural scale max|e_k|^(3/2), not relative to itself: where it is
     exponentially small (most points of a thin lattice, tau = 0.01i for
     one) the theta quotient cancels to rounding noise of that scale."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError("evaluation points must be finite")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     R = L if L.reduced is None else L.reduced
     w = z if L.reduced is None else np.asarray(z, dtype=complex) / L.lam

@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npp
 
 from .elliptic import LatticeData
 from .errors import CheckError
-from .poly import ComplexPoly, compose_affine, polynomial_roots
+from .poly import compose_affine, polynomial_roots
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,17 @@ def coeff_sequence(h: HeunParams, m_max: int):
     return cs
 
 
-def p_polynomial(L: LatticeData, ta: TildeAlpha) -> ComplexPoly:
-    """Monic degree-(N+1) polynomial P_at(E): c_{N+1} composed with the
-    accessory map q = E/4 + q0 and normalized monic."""
+def p_polynomial(L: LatticeData, ta: TildeAlpha) -> np.ndarray:
+    """Ascending coefficients of the monic degree-(N+1) polynomial P_at(E):
+    c_{N+1} composed with the accessory map q = E/4 + q0 and normalized
+    monic."""
     h = heun_from_tuple(L, ta)
     N = ta.N
     c = coeff_sequence(h, N + 1)[N + 1]
     if len(c) != N + 2:
         raise CheckError("c_{N+1} does not have exact degree N+1 in q")
     e_coeffs = compose_affine(c, 0.25, h.q0)
-    return ComplexPoly(tuple(e_coeffs)).monic()
+    return e_coeffs / e_coeffs[-1]
 
 
 # ── Sturm-sequence diagnostics ────────────────────────────────────────────
@@ -178,12 +179,13 @@ class InterlacingReport:
     min_gap: float
 
 
-def interlacing_check(
-    h: HeunParams,
-    N: int,
-    tol_im: float = 1e-8,
-    tol_gap: float = 1e-10,
-) -> InterlacingReport:
+# a root of c_m counts as non-real when |Im| exceeds _INTERLACE_TOL_IM, and
+# two as one when closer than _INTERLACE_TOL_GAP, both times 1 + max |root|
+_INTERLACE_TOL_IM = 1e-8
+_INTERLACE_TOL_GAP = 1e-10
+
+
+def interlacing_check(h: HeunParams, N: int) -> InterlacingReport:
     """Check the Sturm-sequence root structure of c_1 .. c_{N+1}.
 
     Preconditions (raise ValueError otherwise): real parameters and
@@ -229,13 +231,13 @@ def interlacing_check(
         r = polynomial_roots(cs[m])
         max_imag = max(max_imag, float(np.max(np.abs(r.imag))) if len(r) else 0.0)
         scale = 1.0 + float(np.max(np.abs(r))) if len(r) else 1.0
-        if np.max(np.abs(r.imag)) > tol_im * scale:
+        if np.max(np.abs(r.imag)) > _INTERLACE_TOL_IM * scale:
             all_real = False
         rr = np.sort(r.real)
         if len(rr) > 1:
             g = np.min(np.diff(rr))
             min_gap = min(min_gap, float(g))
-            if g <= tol_gap * scale:
+            if g <= _INTERLACE_TOL_GAP * scale:
                 all_real = False
         roots_per_m.append(rr)
 

@@ -36,10 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .elliptic import LatticeData, make_lattice, wp
 from .errors import CheckError, NonConvergenceError, PoleError
-from .poly import ComplexPoly
 from .spectral import (
     _as_tuple,
     _check_tolerances,
@@ -346,8 +346,13 @@ def trace_on_grid(prob: GLEProblem, e_values, direction: str = "1"):
     return ms[:, 0, 0] + ms[:, 1, 1], steps
 
 
-def commutator_check(prob: GLEProblem, e, tol: float = 1e-6) -> dict:
-    """The two loop matrices at a common base point must commute."""
+# relative commutator norm up to which the loop matrices commute
+_COMMUTATOR_TOL = 1e-6
+
+
+def commutator_check(prob: GLEProblem, e) -> dict:
+    """The two loop matrices at a common base point must commute: the
+    commutator norm relative to 1 + |M1| |M2| is at most 1e-6."""
     r1 = monodromy(prob, e, "1")
     r2 = monodromy(prob, e, "tau")
     comm = r1.matrix @ r2.matrix - r2.matrix @ r1.matrix
@@ -359,7 +364,7 @@ def commutator_check(prob: GLEProblem, e, tol: float = 1e-6) -> dict:
         "E": complex(e),
         "commutator_norm": norm,
         "relative": norm / scale,
-        "passed": norm / scale <= tol,
+        "passed": norm / scale <= _COMMUTATOR_TOL,
         "records": (r1, r2),
     }
 
@@ -521,26 +526,30 @@ def stability_set_1d(
     )
 
 
+# an intersection piece must lie this close (times 1 + max |root|) to a root
+_DUAL_ROOT_TOL = 1e-4
+
+
 def dual_torus_exclusion(
     n,
     tau: complex,
     e_min: float,
     e_max: float,
     num: int = 801,
-    qpoly: ComplexPoly | None = None,
-    root_tol: float = 1e-4,
-    **problem_kw,
+    qpoly: np.ndarray | None = None,
 ) -> dict:
     """Intersect the period-1 stability set with its transport to the
     lattice of -1/tau (middle multiplicities swapped, energies scaled by
     tau^2).  The overlap should shrink to the spectral-curve branch
-    points: every intersection piece must lie within root_tol (scaled) of
-    a root of Q.  Pass the spectral polynomial as ``qpoly``.  ``n`` is
-    checked as by make_problem (ValueError)."""
+    points: every intersection piece must lie within _DUAL_ROOT_TOL
+    (1e-4, times 1 + max |root|) of a root of Q.  Pass the coefficients
+    of the spectral polynomial as ``qpoly``.  Both problems take
+    make_problem's defaults; ``n`` is checked as by make_problem
+    (ValueError)."""
     n = _as_tuple(n)
     tau = complex(tau)
     L = make_lattice(tau)
-    prob = make_problem(L, n, **problem_kw)
+    prob = make_problem(L, n)
     bands = stability_set_1d(prob, e_min, e_max, num=num)
 
     tau2 = tau * tau
@@ -550,7 +559,7 @@ def dual_torus_exclusion(
 
     n_swap = (n[0], n[2], n[1], n[3])
     Ld = make_lattice(-1.0 / tau)
-    prob_d = make_problem(Ld, n_swap, **problem_kw)
+    prob_d = make_problem(Ld, n_swap)
     lo_d, hi_d = sorted((t2 * e_min, t2 * e_max))
     bands_d = stability_set_1d(prob_d, lo_d, hi_d, num=num)
 
@@ -577,7 +586,7 @@ def dual_torus_exclusion(
     for lo, hi in pieces:
         d = np.min(np.maximum(0.0, np.maximum(real_roots - hi, lo - real_roots)))
         distances.append(float(d))
-    passed = all(d <= root_tol * scale for d in distances)
+    passed = all(d <= _DUAL_ROOT_TOL * scale for d in distances)
     return {
         "n": n,
         "tau": tau,
@@ -586,7 +595,7 @@ def dual_torus_exclusion(
         "pieces": tuple(pieces),
         "piece_root_distances": tuple(distances),
         "roots": tuple(roots.tolist()),
-        "root_tol": root_tol,
+        "root_tol": _DUAL_ROOT_TOL,
         "passed": passed,
     }
 
@@ -596,11 +605,13 @@ def dual_torus_exclusion(
 ROOT_FACTOR = 1e-4   # E is a branch point when |Q(E)| <= this * (1 + |E|)^deg
 
 
-def at_root(qpoly: ComplexPoly, e):
+def at_root(qpoly: np.ndarray, e):
     """Whether |Q(E)| is small enough to count E as a branch point
-    (elementwise on arrays)."""
+    (elementwise on arrays); ``qpoly`` holds the ascending coefficients
+    of Q."""
     e = np.asarray(e, dtype=complex)
-    return np.abs(qpoly(e)) <= ROOT_FACTOR * (1.0 + np.abs(e)) ** qpoly.degree
+    return (np.abs(npp.polyval(e, qpoly))
+            <= ROOT_FACTOR * (1.0 + np.abs(e)) ** (len(qpoly) - 1))
 
 
 def _trace_unitary(delta, tol_im: float):
@@ -618,7 +629,7 @@ def _trace_parabolic(delta, tol_im: float):
 
 def unitarity_grid(
     prob: GLEProblem,
-    qpoly: ComplexPoly,
+    qpoly: np.ndarray,
     re_values,
     im_values,
     tol_im: float = 1e-6,

@@ -1,6 +1,8 @@
 """Polynomial roots as companion-matrix eigenvalues, with Newton polish.
 
-Coefficients are ascending (c[0] + c[1] x + ...), complex, dense.  The
+A polynomial is a plain ascending coefficient array, c[0] + c[1] x + ...,
+complex128 and dense; its degree is len(c) - 1, a product is
+``np.convolve`` and a value is ``numpy.polynomial.polynomial.polyval``.  The
 roots are the eigenvalues of the balanced companion matrix (LAPACK
 ``geev`` via ``numpy.polynomial.polynomial.polyroots``), which are
 backward stable in the coefficients (Edelman & Murakami, Math. Comp. 64,
@@ -10,8 +12,6 @@ bit-identical output.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,54 +66,11 @@ def residuals(coeffs, roots) -> np.ndarray:
     return np.abs(p)
 
 
-# ── dense complex polynomials ─────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class ComplexPoly:
-    """Dense complex polynomial, ascending coefficients.
-
-    Thin immutable wrapper over a coefficient tuple.  A product is the
-    plain convolution of the coefficients (``np.convolve``), so its degree
-    is the sum of the degrees; evaluation is
-    numpy.polynomial.polynomial.polyval.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(complex(x) for x in self.coeffs)
-        if len(c) == 0:
-            raise ValueError("empty coefficient list")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def asarray(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.asarray())
-
-    def monic(self) -> "ComplexPoly":
-        c = self.asarray()
-        lead = c[-1]
-        if lead == 0:
-            raise ValueError("leading coefficient is zero")
-        return ComplexPoly(tuple(c / lead))
-
-    def mul(self, other: "ComplexPoly") -> "ComplexPoly":
-        return ComplexPoly(tuple(np.convolve(self.asarray(), other.asarray())))
-
-    def roots(self) -> np.ndarray:
-        return polynomial_roots(self.asarray())
-
-
-def coefficient_distance(p: ComplexPoly, q: ComplexPoly) -> float:
-    """max |coef difference| / max(1, |coef|), after zero-padding to a
-    common length.  The relative-agreement metric used by route checks."""
-    a, b = p.asarray(), q.asarray()
+def coefficient_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max |coef difference| / max(1, |coef|) of two ascending coefficient
+    arrays, after zero-padding to a common length.  The relative-agreement
+    metric used by route checks."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if len(a) < len(b):
         a, b = b, a
     diff = a.copy()

@@ -52,12 +52,20 @@ __all__ = [
 
 WEIGHTS = {1: 1, 2: 3, 3: 6, 4: 10}
 
+# |2r - round(2r)| and |2s - round(2s)| at most this: half torsion
+_HALF_TORSION_TOL = 1e-12
+# distance within which tau counts as on a boundary piece of F0
+_F0_TOL = 1e-9
 
-def is_half_torsion(r: float, s: float, tol: float = 1e-12) -> bool:
-    """Whether (r, s) lies on the half-integer lattice (mod 1)."""
+
+def is_half_torsion(r: float, s: float) -> bool:
+    """Whether (r, s) lies on the half-integer lattice (mod 1), within
+    _HALF_TORSION_TOL.  Raises ValueError unless r and s are finite."""
+    if not (np.isfinite(r) and np.isfinite(s)):
+        raise ValueError(f"r and s must be finite, got {r}, {s}")
     fr = abs(2.0 * r - round(2.0 * r))
     fs = abs(2.0 * s - round(2.0 * s))
-    return fr <= tol and fs <= tol
+    return fr <= _HALF_TORSION_TOL and fs <= _HALF_TORSION_TOL
 
 
 @dataclass(frozen=True)
@@ -70,21 +78,25 @@ class F0Point:
         return self.location != "outside"
 
 
-def classify_f0(tau: complex, tol: float = 1e-9) -> F0Point:
+def classify_f0(tau: complex) -> F0Point:
     """Locate tau relative to F0 = {0 <= Re <= 1, |tau - 1/2| >= 1/2}.
 
-    Boundary pieces win within tol; Im tau <= 0 is always outside."""
+    Boundary pieces win within _F0_TOL; Im tau <= 0 is always outside.
+    Raises ValueError unless tau is finite (i*inf is the cusp, not a
+    point of F0)."""
     tau = complex(tau)
-    if tau.imag <= tol:
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if tau.imag <= _F0_TOL:
         return F0Point(tau, "outside")
     x = tau.real
     circ = abs(tau - 0.5) - 0.5
-    if -tol <= x <= 1.0 + tol and circ >= -tol:
-        if abs(x) <= tol:
+    if -_F0_TOL <= x <= 1.0 + _F0_TOL and circ >= -_F0_TOL:
+        if abs(x) <= _F0_TOL:
             return F0Point(tau, "boundary_left")
-        if abs(x - 1.0) <= tol:
+        if abs(x - 1.0) <= _F0_TOL:
             return F0Point(tau, "boundary_right")
-        if circ <= tol:
+        if circ <= _F0_TOL:
             return F0Point(tau, "boundary_circle")
         return F0Point(tau, "interior")
     return F0Point(tau, "outside")
@@ -161,18 +173,22 @@ def rs_grid_default(nr: int = 20, ns: int = 20):
     return [(r, s) for r, s in rs if r != 0.5]
 
 
-def boundary_tau_samples(count: int = 60, h_min: float = 0.05, h_max: float = 10.0):
+# height range of the boundary samples
+_H_MIN, _H_MAX = 0.05, 10.0
+
+
+def boundary_tau_samples(count: int = 60):
     """tau samples on the three boundary pieces of F0: the vertical lines
-    Re = 0 and Re = 1 (heights log-spaced in [h_min, h_max]) and the
-    circle |tau - 1/2| = 1/2 clipped to Im >= h_min.  Raises ValueError
-    unless count >= 3, one sample per piece."""
+    Re = 0 and Re = 1 (heights log-spaced in [0.05, 10]) and the circle
+    |tau - 1/2| = 1/2 clipped to Im >= 0.05.  Raises ValueError unless
+    count >= 3, one sample per piece."""
     if count < 3:
         raise ValueError(f"count must be >= 3, got {count}")
     per = count // 3
-    heights = np.geomspace(h_min, h_max, per)
+    heights = np.geomspace(_H_MIN, _H_MAX, per)
     left = 1j * heights
     right = 1.0 + 1j * heights
-    phi_min = np.arcsin(min(1.0, 2.0 * h_min))
+    phi_min = np.arcsin(min(1.0, 2.0 * _H_MIN))
     phis = np.linspace(phi_min, np.pi - phi_min, count - 2 * per)
     circle = 0.5 + 0.5 * np.exp(1j * phis)
     return np.concatenate([left, right, circle])
@@ -265,11 +281,13 @@ def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
     step no longer moves tau while |Z| is still above tol: there may be a
     zero that the run cannot resolve, so that run must not count as a
     failure.  Raises ValueError unless tol is finite and positive (no
-    start could converge otherwise) and every seed lies in the upper half
-    plane."""
+    start could converge otherwise), there is a seed (zero runs cannot
+    claim absence) and every seed lies in the upper half plane."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     start = np.array([complex(x) for x in seeds], dtype=complex)
+    if start.size == 0:
+        raise ValueError("seeds must not be empty")
     if np.any(start.imag <= 0):
         raise ValueError("seed must lie in the upper half plane")
     t = start.copy()
@@ -391,7 +409,9 @@ def zero_find_multi(
     longer moves tau while |Z| >= tol raises NonConvergenceError for the
     whole call, since it may sit at a zero.  Each run records its seed
     and iterations, a failed run its error; "diagnostics" counts the
-    lattices built, the batched steps and the largest iteration count."""
+    lattices built, the batched steps and the largest iteration count.
+    An empty ``seeds`` raises ValueError: with no run, absence would hold
+    vacuously."""
     if seeds is None:
         seeds = [t for t in SEED_LATTICE if classify_f0(t).inside]
     seeds = [complex(t) for t in seeds]

@@ -15,7 +15,9 @@ degree g (the arithmetic genus below).  The z-independent combination
 
 is then the monic spectral polynomial of degree 2g+1: its roots are the
 branch points of the hyperelliptic spectral curve and the periodic/
-antiperiodic band edges of the associated Hill problem.
+antiperiodic band edges of the associated Hill problem.  Q, like every
+polynomial here, is a plain ascending complex128 coefficient array
+(entry k multiplies E^k; the degree is its length minus one).
 
 Two independent routes are implemented and cross-checked:
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .elliptic import (
     TRUNCATION_TOL,
@@ -67,9 +70,9 @@ from .elliptic import (
 from .errors import CheckError, NotConstructibleError, TvspecError
 from .heun import TildeAlpha, p_polynomial
 from .poly import (
-    ComplexPoly,
     coefficient_distance,
     match_roots,
+    polynomial_roots,
     residuals,
 )
 
@@ -260,7 +263,7 @@ def _assemble_q_at(local, vhat: np.ndarray, s: float):
         )
     # back to E: q_j = qhat_j * s^(2g - j), then exact monic normalization
     coeffs = qhat * s ** (2.0 * g - np.arange(2 * g + 2))
-    return ComplexPoly(tuple(coeffs / coeffs[-1]))
+    return coeffs / coeffs[-1]
 
 
 # Fixed guards of the ansatz solve: the smallest/largest singular value
@@ -271,7 +274,8 @@ _GUARD_TOL = 1e-9
 
 
 def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
-    """Monic spectral polynomial via principal-part elimination.
+    """Coefficients of the monic spectral polynomial via principal-part
+    elimination.
 
     The conditions form the pencil A(E) = A0 + E*A1 with a one-dimensional
     kernel for every E; writing the kernel as v(E) = sum_d v_d E^d with the
@@ -366,7 +370,8 @@ def q_via_phi_ansatz(L: LatticeData, n, details: bool = False):
     q_direct = ((v + e_star) * phi_v ** 2 + phi_d1 ** 2 / 4.0
                 - phi_v * phi_d2 / 2.0)
     q_direct *= s ** (2.0 * g)
-    holdout = abs(q0(e_star) - q_direct) / max(1.0, abs(q_direct))
+    holdout = (abs(npp.polyval(e_star, q0) - q_direct)
+               / max(1.0, abs(q_direct)))
     if holdout > _GUARD_TOL:
         raise CheckError(f"held-out energy check failed ({holdout:.2e})")
 
@@ -400,18 +405,19 @@ def _factor_branches(n):
 
 
 def _factor_product(L: LatticeData, n):
-    """Product of the Heun factor polynomials for an even-total tuple."""
+    """Product of the Heun factor polynomials for an even-total tuple,
+    made monic, and the factors."""
     branches = _factor_branches(n)
     factors = [p_polynomial(L, ta) for ta in branches]
-    deg = sum(p.degree for p in factors)
+    deg = sum(len(p) - 1 for p in factors)
     if deg != 2 * genus_of(n) + 1:
         raise CheckError(
             f"factor degrees sum to {deg}, expected {2 * genus_of(n) + 1}"
         )
     prod = factors[0]
     for p in factors[1:]:
-        prod = prod.mul(p)
-    return prod.monic(), factors
+        prod = np.convolve(prod, p)
+    return prod / prod[-1], factors
 
 
 def _l_transform_fixed(n):
@@ -429,7 +435,8 @@ def _l_transform_fixed(n):
 
 
 def q_via_factorization(L: LatticeData, n, details: bool = False):
-    """Monic spectral polynomial as a product of Heun factor families.
+    """Coefficients of the monic spectral polynomial as a product of Heun
+    factor families.
 
     Even totals factor directly.  An odd total s factors through its
     isospectral index transform, whose total is even exactly when an odd
@@ -512,10 +519,10 @@ def _root_report(polys, tol_im: float, tol_gap: float) -> RootReport:
     parts = []
     residual_max = 0.0
     for p in polys:
-        if p.degree == 0:
+        if len(p) == 1:
             continue
-        rp = p.roots()
-        residual_max = max(residual_max, _check_root_residuals(p.asarray(), rp))
+        rp = polynomial_roots(p)
+        residual_max = max(residual_max, _check_root_residuals(p, rp))
         parts.append(rp)
     r = np.concatenate(parts)
     r = r[np.lexsort((r.imag, r.real))]
@@ -542,7 +549,7 @@ def _root_report(polys, tol_im: float, tol_gap: float) -> RootReport:
 
 
 def roots_and_classify(
-    q: ComplexPoly,
+    q: np.ndarray,
     tol_im: float = 1e-6,
     tol_gap: float = 1e-6,
 ) -> RootReport:
@@ -569,7 +576,7 @@ class SpectralReport:
     tau: complex
     genus: int
     condition_class: str
-    coeffs: ComplexPoly
+    coeffs: np.ndarray = field(compare=False)   # ascending, monic
     root_report: RootReport
     route: str                     # "phi" | "factor" | "both"
     route_discrepancy: float | None
@@ -613,7 +620,7 @@ def spectral_report(
     if route == "factor":
         q, det = q_via_factorization(L, n, details=True)
         factors = det["factors"]
-        factor_degrees = tuple(p.degree for p in factors)
+        factor_degrees = tuple(len(p) - 1 for p in factors)
         diagnostics["factor_tuple"] = det["tuple"]
     else:
         q, det = q_via_phi_ansatz(L, n, details=True)
@@ -626,7 +633,7 @@ def spectral_report(
                 used = "phi"
             else:
                 factors = fdet["factors"]
-                factor_degrees = tuple(p.degree for p in factors)
+                factor_degrees = tuple(len(p) - 1 for p in factors)
                 diagnostics["factor_tuple"] = fdet["tuple"]
                 discrepancy = coefficient_distance(q, qf)
                 if discrepancy > route_tol:
@@ -662,16 +669,17 @@ def spectral_report(
     )
 
 
-def modular_covariance_check(
-    n,
-    tau: complex,
-    match_tol: float = 1e-6,
-):
+# largest matching distance, times 1 + max |root|, of covariant root sets
+_MATCH_TOL = 1e-6
+
+
+def modular_covariance_check(n, tau: complex):
     """Verify that the roots computed on the lattice of -1/tau (with the
     middle multiplicities swapped) are tau^2 times the roots on tau.
 
     Returns a dict with the matched root sets and the maximum matching
-    distance; ``passed`` uses match_tol * (1 + max |root|).
+    distance; ``passed`` uses _MATCH_TOL * (1 + max |root|), 1e-6 times
+    the root scale.
     """
     n = _as_tuple(n)
     n_swap = (n[0], n[2], n[1], n[3])
@@ -691,8 +699,8 @@ def modular_covariance_check(
         "roots_tau": tuple(r.tolist()),
         "roots_dual": tuple(rd.tolist()),
         "max_match_distance": float(max_dist),
-        "passed": bool(max_dist <= match_tol * scale),
-        "match_tol": match_tol,
+        "passed": bool(max_dist <= _MATCH_TOL * scale),
+        "match_tol": _MATCH_TOL,
     }
 
 
@@ -727,11 +735,14 @@ def tau_scan(
     a complex pair at every b, NEITHER expects real distinct roots at
     every b.  Per-point numerical failures (TvspecError, ValueError) are
     collected, not raised; any other exception propagates.  Vacuous
-    tolerances and a non-finite or non-positive b raise ValueError before
-    the first point."""
+    tolerances, an empty ``b_values`` (a scan of no points would pass)
+    and a non-finite or non-positive b raise ValueError before the first
+    point."""
     n = _as_tuple(n)
     _check_tolerances(tol_im=tol_im, tol_gap=tol_gap)
     b_values = [float(b) for b in b_values]
+    if not b_values:
+        raise ValueError("b_values must not be empty")
     for b in b_values:
         if not (np.isfinite(b) and b > 0):
             raise ValueError(f"b must be finite and > 0, got {b}")

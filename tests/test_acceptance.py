@@ -23,7 +23,7 @@ from tvspec.hill import (
     stability_set_1d,
     unitarity_grid,
 )
-from tvspec.poly import coefficient_distance, match_roots
+from tvspec.poly import coefficient_distance, match_roots, polynomial_roots
 from tvspec.premodular import (
     boundary_nonvanishing_scan,
     modular_identity,
@@ -117,7 +117,7 @@ def test_03_route_agreement_even_totals():
             qp = q_via_phi_ansatz(L, n)
             qf, det = q_via_factorization(L, n, details=True)
             worst = max(worst, coefficient_distance(qp, qf))
-            rsets = [f.roots() for f in det["factors"] if f.degree > 0]
+            rsets = [polynomial_roots(f) for f in det["factors"] if len(f) > 1]
             for a, b in itertools.combinations(rsets, 2):
                 min_gap = min(min_gap,
                               float(np.min(np.abs(a[:, None] - b[None, :]))))
@@ -156,7 +156,7 @@ def test_06_modular_covariance_of_root_sets():
     ok = True
     for n in ((2, 0, 0, 0), (1, 1, 0, 0)):
         for tau in (1.5j, 0.7j):
-            res = modular_covariance_check(n, tau, match_tol=1e-6)
+            res = modular_covariance_check(n, tau)
             ok = ok and res["passed"]
             worst = max(worst, res["max_match_distance"])
     _report(6, "root sets transform covariantly under lattice inversion",

@@ -451,6 +451,19 @@ def test_non_finite_grid_is_a_usage_error(capsys, argv):
     assert "needs a finite start and stop" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "eval", "--rs", "nan,0.3", "--tau", "1i"],
+    ["--op", "eval", "--rs", "0.3,-inf", "--tau", "1i"],
+    ["--op", "zero-find", "--rs", "nan,0.3", "--tau", "0.7+0.7i"],
+    ["--op", "zero-find-multi", "--rs", "inf,0.3"],
+])
+def test_non_finite_rs_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "premodular", "--n", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert "--rs wants finite r,s" in err
+
+
 ROW_COMMANDS = [
     ["qpoly", "--n", "1,0,0,1", "--tau", "0+1.2i"],
     ["scan", "--n", "1,0,0,1", "--b", "0.8:1.2:3"],

@@ -208,6 +208,25 @@ def test_pole_guard():
             zeta_w(z, L)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1j, 0.31 + 1.12j, 3 + 0.5j])
+def test_non_finite_points_are_refused(tau):
+    # 3 + 0.5i is evaluated on its reduced lattice, after z -> z/lam
+    L = lattice(tau)
+    bad = (complex(np.nan, 1.0), complex(np.inf, 0.2),
+           complex(0.3, np.nan), np.array([0.3 + 0.2j, np.inf]))
+    for z in bad:
+        with pytest.raises(ValueError, match="finite"):
+            zeta_wp_wp_prime(z, L)
+        with pytest.raises(ValueError, match="finite"):
+            wp(z, L)
+    for r, s in ((np.nan, 0.3), (0.3, np.inf), (-np.inf, 0.3)):
+        with pytest.raises(ValueError, match="finite"):
+            z_n(L, r, s, 2)
+    with pytest.raises(ValueError, match="finite"):
+        z_n(make_lattice(np.array([1j, tau])), np.nan, 0.3, 2)
+
+
 @pytest.mark.parametrize("tau", TAUS[:3] + (0.5 + 0.3j, 1 + 0.05j))
 def test_public_evaluators_select_from_one_evaluator(tau):
     L = lattice(tau)

@@ -86,11 +86,11 @@ def test_p_roots_give_truncating_ode_solutions(n, branches):
     h = heun_from_tuple(L, ta)
     N = ta.N
     P = p_polynomial(L, ta)
-    assert P.degree == N + 1
-    assert abs(P.coeffs[-1] - 1.0) < 1e-12
+    assert P.dtype == complex and len(P) - 1 == N + 1
+    assert abs(P[-1] - 1.0) < 1e-12
     xs = [1.7 + 0.3j, -2.5 + 1.1j, 9.0, 0.5 - 4.0j, 3.3 + 3.3j]
     cs_tail = coeff_sequence(h, N + 3)
-    for E in P.roots():
+    for E in polynomial_roots(P):
         qstar = complex(E / 4.0 + h.q0)
         # series truncation: the two coefficients past the solution vanish
         for k in (N + 1, N + 2):
@@ -105,7 +105,7 @@ def test_accessory_map_roundtrip():
                TildeAlpha.from_branches((2, 1, 1, 0), (0, 0, 0, 0))):
         h = heun_from_tuple(L, ta)
         q_roots = polynomial_roots(coeff_sequence(h, ta.N + 1)[ta.N + 1])
-        e_roots = p_polynomial(L, ta).roots()
+        e_roots = polynomial_roots(p_polynomial(L, ta))
         _, dist = match_roots(4.0 * (q_roots - h.q0), e_roots)
         assert dist < 1e-10 * (1.0 + np.max(np.abs(e_roots)))
 

@@ -27,6 +27,9 @@ def test_half_torsion_predicate():
     assert is_half_torsion(1.5, -2.0)
     assert not is_half_torsion(0.25, 0.5)
     assert not is_half_torsion(0.5, 0.3)
+    for r, s in ((np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            is_half_torsion(r, s)
 
 
 def test_z_vanishes_exactly_at_half_periods():
@@ -67,6 +70,13 @@ def test_fundamental_domain_classification(tau, loc):
     pt = classify_f0(tau)
     assert pt.location == loc
     assert pt.inside == (loc != "outside")
+
+
+@pytest.mark.parametrize("tau", [complex(np.nan, 1.0), complex(0.5, np.nan),
+                                 complex(np.inf, 1.0), complex(0.5, np.inf)])
+def test_fundamental_domain_refuses_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="finite"):
+        classify_f0(tau)
 
 
 T_SHIFT = ((1, -1), (0, 1))      # tau -> tau - 1
@@ -295,6 +305,26 @@ def test_zero_find_refuses_vacuous_tol(tol, monkeypatch):
         zero_find(2, 0.15, 0.15, 0.7 + 0.7j, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         zero_find_multi(2, 0.15, 0.15, tol=tol)
+
+
+def test_zero_find_multi_refuses_an_empty_seed_list(monkeypatch):
+    # no run at all must not read as "no interior zero"
+    def no_lattice(tau):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(premodular, "make_lattice", no_lattice)
+    with pytest.raises(ValueError, match="seeds must not be empty"):
+        zero_find_multi(2, 0.15, 0.15, seeds=[])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r, s", [(np.nan, 0.3), (np.inf, 0.3),
+                                  (0.3, -np.inf)])
+def test_zero_finders_refuse_non_finite_torsion_points(r, s):
+    with pytest.raises(ValueError, match="finite"):
+        zero_find(2, r, s, 0.7 + 0.7j)
+    with pytest.raises(ValueError, match="finite"):
+        zero_find_multi(2, r, s)
 
 
 @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])

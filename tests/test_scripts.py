@@ -31,6 +31,19 @@ def test_script_runs(capsys, name, argv, first):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["--b", "0.5:2:0"], "b_values must not be empty"),
+    (["--b=-1:1:3"], "b must be finite and > 0"),
+])
+def test_tau_scan_script_rejects_bad_input(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load("qpoly_tau_scan").main(["1", "0", "0", "1", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
     (["--tau-count", "1"], "count must be >= 3"),
     (["--floor", "-1"], "floor must be finite and > 0"),
     (["--rs", "0", "5"], "rs_grid must not be empty"),
