@@ -17,14 +17,14 @@ throughout the package:
 * e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2), so that on the
   imaginary axis tau = i*b the ordering is e1 > e3 > e2 (all real);
 * g2 = -4(e1 e2 + e1 e3 + e2 e3), g3 = 4 e1 e2 e3;
-* eta1 = 2 zeta(1/2) from the Eisenstein E2 q-series, eta2 from the
-  Legendre relation eta1*tau - eta2 = 2*pi*i (never a second series).
+* e_k and eta1 = 2 zeta(1/2) from the theta constants of the reduced
+  lattice, eta2 from the Legendre relation eta1*tau - eta2 = 2*pi*i.
 
 A batch of lattices is one LatticeData whose fields are arrays over tau
 (``make_lattice`` of a 1-D array); each tau of it is reduced on its own.
 The evaluators broadcast against it with tau on the last axis of the
 evaluation points.  The theta series gives each lattice of the batch the
-terms it would get alone; the Eisenstein series runs until it has
+terms it would get alone; the theta-constant sums run until they have
 truncated on every lattice.
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -39,14 +40,15 @@ from .errors import NonConvergenceError, PoleError
 
 _TWO_PI_I = 2j * np.pi
 
-# Hard cap on theta/Eisenstein series length; on a reduced lattice the
-# series stop after a few terms.
+# Hard cap on the theta series length; on a reduced lattice the series
+# stop after a few terms.
 _MAX_TERMS = 4000
 
-# Above this Im tau' the sine of the second theta term overflows at the
-# half period tau'/2 (3*pi*Im tau'/2 > 709.8); make_lattice refuses such a
-# reduced lattice: Im tau above 150, or tau that close to the real axis
-# (Im tau' = Im tau/|c*tau + d|^2, so below 0.0067i over an integer).
+# Above this Im tau' the second theta term, sin 3*pi*v from angle
+# addition, overflows at the top of the cell, |Im v| = Im tau'/2
+# (3*pi*Im tau'/2 > 709.8); make_lattice refuses such a reduced lattice:
+# Im tau above 150, or tau that close to the real axis (Im tau' =
+# Im tau/|c*tau + d|^2, so below 0.0067i over an integer).
 _MAX_IM_REDUCED = 150.0
 
 # |c| below this keeps _affine exact; a reduction that needs more (only
@@ -57,8 +59,8 @@ _MAX_C = 2 ** 26
 # rounding at |tau| = 1 from inverting back and forth.
 _UNIT_CIRCLE = 1.0 - 1e-12
 
-# Relative size of the first omitted theta or Eisenstein term; results
-# report it as their "truncation_tol".
+# Relative size of the first omitted theta term; results report it as
+# their "truncation_tol".
 TRUNCATION_TOL = 1e-14
 
 # Evaluation points closer than this to a lattice point raise PoleError.
@@ -96,29 +98,6 @@ class LatticeData:
         return (self.e1, self.e2, self.e3)
 
 
-def _eisenstein_e2(q: complex) -> complex:
-    """E2(tau) = 1 - 24 sum sigma_1(m) p^m, p = q^2, via the Lambert form
-    sum_{k>=1} k p^k / (1 - p^k).  An array q sums every nome at once
-    until the term is below tolerance on all of them."""
-    batch = isinstance(q, np.ndarray)
-    p = q * q
-    acc = 0.0 + 0.0j
-    pk = 1.0 + 0.0j
-    for k in range(1, _MAX_TERMS):
-        pk *= p
-        term = k * pk / (1.0 - pk)
-        acc += term
-        if batch:
-            done = np.all(abs(term) < TRUNCATION_TOL * np.maximum(1.0, abs(acc)))
-        else:
-            done = abs(term) < TRUNCATION_TOL * max(1.0, abs(acc))
-        if done:
-            break
-    else:
-        raise NonConvergenceError("Eisenstein E2 series did not truncate")
-    return 1.0 - 24.0 * acc
-
-
 def _theta1_block(v, q: complex):
     """theta1(v|q) and its first three v-derivatives, vectorized over v.
 
@@ -126,12 +105,15 @@ def _theta1_block(v, q: complex):
     reduced to its cell, so |Im v| <= Im tau / 2; that bound
     fixes a safe series length a priori, while the loop still exits early
     once the worst-case next term is below TRUNCATION_TOL * (accumulated
-    magnitude).  An array q holds one nome per lattice, matched to the
-    last axis of v; each lattice stops taking terms once it has truncated
-    (so it gets the terms it would get alone), and the loop runs until
-    every lattice has.  Carrying a truncated lattice on would multiply an
-    underflowed q-power by an overflowed sine, 0 * inf = NaN, on a high
-    lattice batched with a low one.
+    magnitude).  sin and cos of (2n+1)*pi*v come from those of pi*v by
+    angle addition with the step 2*pi*v (s2 = 2sc, c2 = 1 - 2s^2): two
+    transcendental calls per block, not two per term.  An array q holds
+    one nome per lattice, matched to the last axis of v; each lattice
+    stops taking terms once it has truncated (so it gets the terms it
+    would get alone), and the loop runs until every lattice has.
+    Carrying a truncated lattice on would multiply an underflowed q-power
+    by an overflowed term, 0 * inf = NaN, on a high lattice batched with
+    a low one.
     """
     v = np.asarray(v, dtype=complex)
     th = np.zeros_like(v)
@@ -143,14 +125,18 @@ def _theta1_block(v, q: complex):
     logq = np.log(abs(q))
     im_bound = -logq / (2.0 * np.pi)
     floor = 0.0
-    # batch: the lattices still taking terms, and their slices of v and
-    # the sums; a truncated lattice's sums go back into ``block``
+    s = np.sin(np.pi * v)
+    c = np.cos(np.pi * v)
+    s2 = 2.0 * s * c
+    c2 = 1.0 - 2.0 * s * s
+    # batch: the lattices still taking terms, and their slices of the
+    # angles and the sums; a truncated lattice's sums go back into ``block``
     cols = np.arange(q.size) if batch else None
     for n in range(_MAX_TERMS):
         a = (2 * n + 1) * np.pi
         coef = 2.0 * (-1) ** n * q ** ((n + 0.5) ** 2)
-        s = np.sin(a * v)
-        c = np.cos(a * v)
+        if n:
+            s, c = s * c2 + c * s2, c * c2 - s * s2
         th += coef * s
         th1 += coef * a * c
         th2 -= coef * a * a * s
@@ -170,8 +156,8 @@ def _theta1_block(v, q: complex):
                     break
                 cols, q, logq, im_bound, floor = (
                     x[keep] for x in (cols, q, logq, im_bound, floor))
-                v, th, th1, th2, th3 = (
-                    x[..., keep] for x in (v, th, th1, th2, th3))
+                s, c, s2, c2, th, th1, th2, th3 = (
+                    x[..., keep] for x in (s, c, s2, c2, th, th1, th2, th3))
         else:
             floor = max(floor, float(np.max(np.abs(th))))
             if n >= 1 and bound < TRUNCATION_TOL * max(floor, 1e-300):
@@ -232,29 +218,40 @@ def _affine(c, tau, d):
 
 
 def _lattice_on_cell(tau, batch: bool) -> LatticeData:
-    """LatticeData of a reduced tau (complex, or a 1-D array for a batch):
-    eta1 from the Eisenstein series, the e_k from one evaluation at the
-    half periods."""
-    q = np.exp(1j * np.pi * tau)
-    eta1 = (np.pi ** 2 / 3.0) * _eisenstein_e2(q)
-    eta2 = eta1 * tau - _TWO_PI_I
-    if not batch:
-        q, eta1, eta2 = complex(q), complex(eta1), complex(eta2)
-
-    # e_k by one evaluation at the three half periods, shape (3,) or
-    # (3, len(tau)); it reads only tau, q, eta1 and eta2, so the e_k and
-    # g_k are placeholders until then.
-    nan = np.full_like(tau, np.nan) if batch else complex(np.nan, np.nan)
-    cell = LatticeData(tau=tau, q=q, e1=nan, e2=nan, e3=nan, g2=nan, g3=nan,
-                       eta1=eta1, eta2=eta2)
-    half = cell.half_periods[1:]
-    points = np.array(np.broadcast_arrays(*half) if batch else half)
-    _, es, _ = zeta_wp_wp_prime(points, cell)
-    e1, e2, e3 = es if batch else (complex(e) for e in es)
+    """LatticeData of a reduced tau (complex, or a 1-D array for a batch)
+    from theta constants (Whittaker & Watson, ch. XXI):
+    e1 = (pi^2/3)(th3^4 + th4^4), e2 = -(pi^2/3)(th2^4 + th3^4) and
+    e3 = (pi^2/3)(th2^4 - th4^4), with th2^4 = 16 q (sum_{n>=0} q^(n(n+1)))^4
+    and th3, th4 = 1 + 2 sum_{n>=1} (+-1)^n q^(n^2); eta1 = -pi^2 th1'''(0) /
+    (3 th1'(0)) = (pi^2/3) sum (-1)^n (2n+1)^3 q^(n(n+1)) /
+    sum (-1)^n (2n+1) q^(n(n+1)).  The sums run until every lattice's next
+    term of th3^4, 8 q^(n^2), is below rounding, 2^-53 (n <= 3 at
+    |q| <= 0.066): at TRUNCATION_TOL the e_k could be 1e-14 of scale off."""
+    q = np.exp(1j * np.pi * tau) if batch else cmath.exp(1j * cmath.pi * tau)
+    # sums, shaped like q: over q^(n(n+1)) of 1 (t2), (-1)^n (2n+1) (d1),
+    # (-1)^n (2n+1)^3 (d3); over q^(n^2), n >= 1, of 1 (t3), (-1)^n (t4)
+    t3 = t4 = 0.0 * q
+    t2 = d1 = d3 = 1.0 + t3
+    qn = tri = 1.0
+    for n in count(1):
+        qn = qn * q                     # q^n
+        sq = tri * qn                   # q^(n^2)
+        if np.all(8.0 * abs(sq) < 2.0 ** -53):
+            break
+        tri = sq * qn                   # q^(n(n+1))
+        sign = -1 if n % 2 else 1
+        t2, t3, t4 = t2 + tri, t3 + sq, t4 + sign * sq
+        m = sign * (2 * n + 1) * tri
+        d1, d3 = d1 + m, d3 + (2 * n + 1) ** 2 * m
+    k = np.pi ** 2 / 3.0
+    t2 = 16.0 * q * t2 ** 4
+    t3, t4 = (1.0 + 2.0 * t3) ** 4, (1.0 + 2.0 * t4) ** 4
+    e1, e2, e3 = k * (t3 + t4), -k * (t2 + t3), k * (t2 - t4)
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
+    eta1 = k * (d3 / d1)
     return LatticeData(tau=tau, q=q, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3,
-                       eta1=eta1, eta2=eta2)
+                       eta1=eta1, eta2=eta1 * tau - _TWO_PI_I)
 
 
 def make_lattice(tau) -> LatticeData:
@@ -271,12 +268,12 @@ def make_lattice(tau) -> LatticeData:
     relation.
 
     For an array the result is one LatticeData whose fields are arrays
-    over tau, built by one pass of each series; the evaluators then take
-    points with tau on their last axis (a point array of shape
+    over tau, built by one pass of the theta-constant sums; the evaluators
+    then take points with tau on their last axis (a point array of shape
     (len(tau),) puts one point on each lattice), so
     ``z_n(make_lattice(taus), r, s, n)`` is Z^(n)_{r,s} at every tau.  A
-    lattice in a batch may get a few Eisenstein terms below
-    TRUNCATION_TOL that it would not get alone.
+    lattice in a batch may get a few theta-constant terms below rounding
+    that it would not get alone.
 
     Raises ValueError unless every tau is finite with Im tau > 0, and
     NonConvergenceError where Im tau' exceeds 150 (the theta terms

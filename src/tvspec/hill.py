@@ -109,15 +109,17 @@ def _check_clearance(L: LatticeData, n, z0, omega):
 
 class PathPotential:
     """V along z0 + t*omega, evaluated straight from the theta kernel for
-    an array of t.  The loop t in [0, 1] must stay _MIN_CLEARANCE away
-    from every pole.  ``nodes`` keeps the Magnus node samples per
-    (t_end, steps) on the instance."""
+    an array of t.  z0 and omega must be finite (ValueError), and the loop
+    t in [0, 1] must stay _MIN_CLEARANCE away from every pole.  ``nodes``
+    keeps the Magnus node samples per (t_end, steps) on the instance."""
 
     def __init__(self, L: LatticeData, n, z0: complex, omega: complex):
         self.L = L
         self.n = tuple(n)
         self.z0 = complex(z0)
         self.omega = complex(omega)
+        if not (np.isfinite(self.z0) and np.isfinite(self.omega)):
+            raise ValueError(f"path needs finite z0, omega: {z0}, {omega}")
         _check_clearance(L, self.n, self.z0, self.omega)
         self._nodes = {}
 
@@ -165,8 +167,8 @@ def make_problem(
     """Prepare loop potentials (with pole-clearance checks) for the tuple
     ``n`` on lattice ``L``.  The default base point 1/4 + tau/4 sits midway
     between the pole lines of both loop directions.  ``n`` must be four
-    non-negative integers, not all zero, and rtol and atol finite and
-    positive (ValueError)."""
+    non-negative integers, not all zero, z_base finite, and rtol and atol
+    finite and positive (ValueError)."""
     n = _as_tuple(n)
     _check_tolerances(rtol=rtol, atol=atol)
     if z_base is None:

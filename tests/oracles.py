@@ -3,7 +3,9 @@
 Everything here goes through mpmath's jtheta/nsum machinery, so none of
 the package's series code is involved: lattice constants come from theta
 constants and Lambert series, point values from log-derivatives of
-theta1.  Conventions: lattice Z + Z*tau, e1 = wp(1/2), e2 = wp(tau/2),
+theta1.  The package takes eta1 from the series of theta1'''(0)/theta1'(0),
+so the lattice reference takes it from the Lambert series of E2.
+Conventions: lattice Z + Z*tau, e1 = wp(1/2), e2 = wp(tau/2),
 e3 = wp((1+tau)/2).
 """
 
@@ -17,7 +19,8 @@ def _nome(tau):
 
 
 def lattice_ref(tau):
-    """e1, e2, e3, g2, g3, eta1 from theta constants and Lambert series."""
+    """e1, e2, e3, g2, g3, eta1 from theta constants and Lambert series;
+    eta1 = (pi^2/3) E2."""
     q = _nome(tau)
     t2 = mp.jtheta(2, 0, q)
     t3 = mp.jtheta(3, 0, q)
@@ -28,9 +31,10 @@ def lattice_ref(tau):
     p = q * q
     E4 = 1 + 240 * mp.nsum(lambda k: k ** 3 * p ** k / (1 - p ** k), [1, mp.inf])
     E6 = 1 - 504 * mp.nsum(lambda k: k ** 5 * p ** k / (1 - p ** k), [1, mp.inf])
+    E2 = 1 - 24 * mp.nsum(lambda k: k * p ** k / (1 - p ** k), [1, mp.inf])
     g2 = 4 * mp.pi ** 4 / 3 * E4
     g3 = 8 * mp.pi ** 6 / 27 * E6
-    eta1 = -mp.pi ** 2 / 3 * mp.jtheta(1, 0, q, 3) / mp.jtheta(1, 0, q, 1)
+    eta1 = mp.pi ** 2 / 3 * E2
     return {
         "e1": complex(e1), "e2": complex(e2), "e3": complex(e3),
         "g2": complex(g2), "g3": complex(g3), "eta1": complex(eta1),

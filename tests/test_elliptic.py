@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    _log_theta_values,
     lattice_ref,
     wp_prime_ref,
     wp_prime_theta_ref,
@@ -10,6 +11,7 @@ from oracles import (
     z2_ref,
     zeta_ref,
 )
+from tvspec import elliptic
 from tvspec.elliptic import (
     POLE_GUARD,
     make_lattice,
@@ -48,6 +50,8 @@ def wp_prime(z, L):
     "tau", TAUS + (1 + 0.3j, 0.5 + 0.5j, 0.2j, 0.5 + 0.866j)
 )
 def test_lattice_constants_match_theta_reference(tau):
+    # eta1 against (pi^2/3) E2 from the Lambert series, not the package's
+    # theta1'''(0)/theta1'(0)
     L = lattice(tau)
     ref = lattice_ref(tau)
     for name in ("e1", "e2", "e3", "g2", "g3", "eta1"):
@@ -315,8 +319,8 @@ def test_lattice_batch_matches_lattices_alone():
         for name, scale in scales.items():
             got, want = getattr(B, name)[i], getattr(L, name)
             if abs(got - want) > 1e-13 * scale:
-                # In the batch a lattice may get Eisenstein terms below
-                # TRUNCATION_TOL that it does not get alone, and the
+                # In the batch a lattice may get theta-constant terms
+                # below rounding that it does not get alone, and the
                 # nome's powers round differently; a lattice that still
                 # differs must be no farther from mpmath than the lattice
                 # alone.
@@ -418,6 +422,63 @@ def test_thin_lattice_in_a_batch_equals_it_alone(tau):
     for name, scale in scales.items():
         assert abs(getattr(B, name)[0] - getattr(L, name)) <= 1e-14 * scale, \
             name
+
+
+# the thinnest lattices the scan and zero finders meet, and a reduced
+# lattice next to the thickest the kernel accepts (Im tau' <= 150)
+EDGE_TAUS = (0.01j, 0.5 + 0.01j, 149j)
+
+
+def test_theta_constants_are_the_half_period_values(monkeypatch):
+    # make_lattice takes the e_k from theta constants, not from the
+    # evaluator; the evaluator at the half periods must agree with them
+    taus = np.append(BATCH_TAUS, EDGE_TAUS)
+    # the last batch is thick enough that its sums stop before n = 1
+    lattices = [make_lattice(complex(tau)) for tau in taus] + [
+        make_lattice(taus), make_lattice(np.array([149j, 60j]))]
+    for L in lattices:
+        half = np.array(np.broadcast_arrays(*L.half_periods[1:]))
+        got = zeta_wp_wp_prime(half, L)[1]
+        es = np.array(L.es)
+        scale = np.max(np.abs(es), axis=0)
+        assert np.all(np.abs(got - es) <= 1e-14 * scale), L.tau
+
+    def refuse(z, L):
+        raise AssertionError("make_lattice called the evaluator")
+
+    monkeypatch.setattr(elliptic, "zeta_wp_wp_prime", refuse)
+    make_lattice(0.31 + 1.12j)
+    make_lattice(0.01j)
+    make_lattice(taus)
+
+
+# the angle-addition terms near a lattice point, where zeta ~ 1/z and
+# wp ~ 1/z^2 come from theta1 ~ theta1'(0) v
+@pytest.mark.parametrize("tau", (1j, 0.31 + 1.12j, 0.01j, 0.5 + 0.01j))
+def test_values_next_to_a_lattice_point_match_mpmath(tau):
+    L = make_lattice(tau)
+    for r in np.geomspace(1e-5, 1e-2, 4):
+        for angle in (0.3, 2.4, 4.2):
+            z = complex(r * np.exp(1j * angle))
+            zeta, p, _ = zeta_wp_wp_prime(z, L)
+            _, zeta_mp, p_mp, _ = _log_theta_values(z, tau)
+            for got, want in ((zeta, complex(zeta_mp)), (p, complex(p_mp))):
+                assert abs(got - want) <= 1e-14 * abs(want), (z, got, want)
+
+
+def test_values_at_the_top_of_the_thickest_cell_are_finite():
+    # |Im v| ~ 74.5 on tau = 0.5 + 149i: the second theta term,
+    # sin 3 pi v ~ exp(3 pi 74.5) = exp(702), is a factor ~2000 below
+    # overflow
+    tau = 0.5 + 149j
+    L = make_lattice(tau)
+    z = np.array([0.3 + 0.5 * tau, -0.2 - 0.4999 * tau, 0.4999 * tau])
+    for values in zeta_wp_wp_prime(z, L):
+        assert np.all(np.isfinite(values))
+    # wp(x + tau/2) through the half-period identity, from wp at Im v = 0
+    for x in (0.3, -0.17):
+        want = wp_half_shift(x, L, 2)
+        assert abs(wp(x + tau / 2, L) - want) <= 1e-14 * abs(want)
 
 
 def test_make_lattice_refuses_a_reduced_lattice_whose_theta_terms_overflow():

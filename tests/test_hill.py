@@ -431,6 +431,18 @@ def test_problem_construction_guards():
     assert set(prob.potentials) == {"1", "tau"}
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.25), complex(0.25, np.inf),
+                                 complex(-np.inf, np.nan)])
+def test_non_finite_path_is_refused(bad):
+    # min(inf, nan) is inf, so a NaN base point once passed the clearance
+    # check and was refused only at the first trace
+    L = lattice(1j)
+    with pytest.raises(ValueError, match="finite"):
+        make_problem(L, (1, 0, 0, 0), z_base=bad)
+    with pytest.raises(ValueError, match="finite"):
+        PathPotential(L, (1, 0, 0, 0), 0.25 + 0.25j, bad)
+
+
 def test_path_potential_is_the_direct_wp_sum():
     L = lattice(1j)
     n = (2, 1, 1, 0)

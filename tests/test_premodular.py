@@ -200,9 +200,9 @@ def test_zero_find_is_one_run_of_zero_find_multi(n, r, s, interior_runs):
             alone = zero_find(n, r, s, run["seed"])
         except NonConvergenceError:
             alone = {}
-        # in a batch a lattice may get Eisenstein terms below
-        # TRUNCATION_TOL that it does not get alone; a run that drifts
-        # toward a cusp,
+        # in a batch a lattice may get theta-constant terms below
+        # rounding that it does not get alone, and numpy rounds the
+        # nome's powers differently; a run that drifts toward a cusp,
         # where |Z| ~ 1e-11, may then end differently, but a run that
         # ends at an interior zero ends there in both
         if "interior" in (run.get("location"), alone.get("location")):
