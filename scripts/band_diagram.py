@@ -34,6 +34,8 @@ def main(argv=None):
     ap.add_argument("--pad", type=float, default=5.0,
                     help="window margin beyond the extreme roots")
     args = ap.parse_args(argv)
+    if args.num < 2:  # a one-point grid has no cell to bracket an edge in
+        ap.error(f"--num must be >= 2, got {args.num}")
 
     tau = complex(args.tau.replace("i", "j"))
     L = make_lattice(tau)

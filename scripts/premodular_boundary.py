@@ -26,7 +26,6 @@ def main(argv=None):
                     metavar=("NR", "NS"), help="(r, s) grid (default 20 20)")
     ap.add_argument("--tau-count", type=int, default=60,
                     help="boundary tau samples in all (default 60)")
-    ap.add_argument("--floor", type=float, default=1e-8)
     args = ap.parse_args(argv)
 
     rs = rs_grid_default(args.rs[0], args.rs[1])
@@ -35,16 +34,15 @@ def main(argv=None):
         print(f"Z^({args.n}): {len(rs)} (r, s) samples x {len(taus)} "
               f"boundary tau = {len(rs) * len(taus)} evaluations")
         t0 = time.perf_counter()
-        out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus,
-                                         floor=args.floor)
+        out = boundary_nonvanishing_scan(args.n, rs_grid=rs, tau_grid=taus)
         dt = time.perf_counter() - t0
-    except ValueError as exc:  # --tau-count below 3 or --floor not > 0
+    except ValueError as exc:  # --tau-count below 3 or an empty (r, s) grid
         ap.error(str(exc))
 
     r, s, tau = out["argmin"]
     print(f"min |Z^({args.n})| = {out['min_abs']:.6e}")
     print(f"  at (r, s) = ({r:.6f}, {s:.6f}), tau = {tau:.6f}")
-    print(f"  floor {args.floor:.1e}: "
+    print(f"  floor {out['floor']:.1e}: "
           f"{'clear' if out['passed'] else 'VIOLATED'}  ({dt:.1f}s)")
     return 0 if out["passed"] else 1
 

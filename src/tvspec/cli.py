@@ -16,6 +16,8 @@ Conventions
     - JSON output holds the timestamp in a "generated" field on its own
       line and the rest of the document on the next line; everything
       below the timestamp is deterministic for a fixed invocation
+    - every tolerance is fixed, none is an option; each command reports
+      the ones it applies in its tolerance set
     - elliptic functions come from theta series truncated at a fixed
       relative tolerance of 1e-14 (reported as "truncation_tol" in every
       tolerance set); a point within 1e-6 of a pole is a PoleError
@@ -43,8 +45,19 @@ from .errors import (
     NotConstructibleError,
     PoleError,
 )
-from .hill import ROOT_FACTOR, make_problem, stability_set_1d, unitarity_grid
+from .hill import (
+    ATOL,
+    EDGE_TOL,
+    IM_TOL,
+    ROOT_FACTOR,
+    RTOL,
+    make_problem,
+    stability_set_1d,
+    unitarity_grid,
+)
 from .premodular import (
+    FLOOR,
+    NEWTON_TOL,
     SEED_LATTICE,
     WEIGHTS,
     boundary_nonvanishing_scan,
@@ -56,6 +69,9 @@ from .premodular import (
 )
 from .spectral import (
     FACTOR_GAP_TOL,
+    ROUTE_TOL,
+    TOL_GAP,
+    TOL_IM,
     q_via_phi_ansatz,
     spectral_report,
     tau_scan,
@@ -261,10 +277,7 @@ def cmd_qpoly(args) -> int:
     n = parse_n_tuple(args.n)
     tau = parse_complex(args.tau)
     L = make_lattice(tau)
-    rep = spectral_report(
-        L, n, route=args.route,
-        tol_im=args.tol_im, tol_gap=args.tol_gap, route_tol=args.route_tol,
-    )
+    rep = spectral_report(L, n, route=args.route)
     rr = rep.root_report
     payload = {
         "config": {"n": list(n), "tau": tau, "route": args.route},
@@ -298,11 +311,11 @@ def cmd_scan(args) -> int:
     bs = parse_grid(args.b)
     if np.any(bs <= 0):
         raise UsageError("--b values must be positive (tau = i*b)")
-    res = tau_scan(n, bs, tol_im=args.tol_im, tol_gap=args.tol_gap)
+    res = tau_scan(n, bs)
     payload = {
         "config": {"n": list(n), "b": args.b},
         "tolerances": {
-            "tol_im": args.tol_im, "tol_gap": args.tol_gap,
+            "tol_im": TOL_IM, "tol_gap": TOL_GAP, "route_tol": ROUTE_TOL,
             "factor_gap_tol": FACTOR_GAP_TOL, "truncation_tol": TRUNCATION_TOL,
         },
         "expected": res.expected,
@@ -328,19 +341,16 @@ def cmd_bands(args) -> int:
     if len(grid) < 2:
         raise UsageError("--E grid needs at least 2 points")
     L = make_lattice(tau)
-    prob = make_problem(L, n, rtol=args.rtol, atol=args.atol)
-    bands = stability_set_1d(
-        prob, grid[0], grid[-1], num=len(grid), direction=args.direction,
-        edge_tol=args.edge_tol, im_tol=args.im_tol,
-    )
+    prob = make_problem(L, n)
+    bands = stability_set_1d(prob, grid[0], grid[-1], num=len(grid),
+                             direction=args.direction)
     payload = {
         "config": {
             "n": list(n), "tau": tau, "E": args.E,
             "direction": args.direction,
         },
         "tolerances": {
-            "rtol": args.rtol, "atol": args.atol,
-            "edge_tol": args.edge_tol, "im_tol": args.im_tol,
+            "rtol": RTOL, "atol": ATOL, "edge_tol": EDGE_TOL, "im_tol": IM_TOL,
             "truncation_tol": TRUNCATION_TOL,
         },
         "bands": [
@@ -370,15 +380,15 @@ def cmd_unitary(args) -> int:
     im_vals = parse_grid(args.im)
     L = make_lattice(tau)
     q = q_via_phi_ansatz(L, n)
-    prob = make_problem(L, n, rtol=args.rtol, atol=args.atol)
-    res = unitarity_grid(prob, q, re_vals, im_vals, tol_im=args.tol_im)
+    prob = make_problem(L, n)
+    res = unitarity_grid(prob, q, re_vals, im_vals)
     total = res["unitary"].size
     payload = {
         "config": {
             "n": list(n), "tau": tau, "re": args.re, "im": args.im,
         },
         "tolerances": {
-            "rtol": args.rtol, "atol": args.atol, "tol_im": args.tol_im,
+            "rtol": RTOL, "atol": ATOL, "tol_im": res["tol_im"],
             "root_factor": ROOT_FACTOR, "truncation_tol": TRUNCATION_TOL,
         },
         "points": int(total),
@@ -411,7 +421,7 @@ def cmd_premodular(args) -> int:
     base = {
         "config": {"op": args.op, "n": n},
         "tolerances": {
-            "floor": args.floor, "newton_tol": args.newton_tol,
+            "floor": FLOOR, "newton_tol": NEWTON_TOL,
             "truncation_tol": TRUNCATION_TOL,
         },
     }
@@ -437,7 +447,7 @@ def cmd_premodular(args) -> int:
         return 0
 
     if args.op == "boundary-scan":
-        res = boundary_nonvanishing_scan(n, floor=args.floor)
+        res = boundary_nonvanishing_scan(n)
         argmin = res["argmin"]
         payload = {
             **base,
@@ -464,7 +474,7 @@ def cmd_premodular(args) -> int:
             raise UsageError("zero-find needs --rs and --tau (the seed)")
         r, s = parse_rs(args.rs)
         seed = parse_complex(args.tau)
-        res = zero_find(n, r, s, seed, tol=args.newton_tol)
+        res = zero_find(n, r, s, seed)
         base["config"].update({"rs": args.rs, "tau": args.tau})
         payload = {**base, "r": r, "s": s, **res}
         columns = {
@@ -488,7 +498,7 @@ def cmd_premodular(args) -> int:
                             c.imag + rng.uniform(-0.05, 0.05))
                 if classify_f0(t).inside:
                     seeds.append(t)
-        res = zero_find_multi(n, r, s, seeds=seeds, tol=args.newton_tol)
+        res = zero_find_multi(n, r, s, seeds=seeds)
         base["config"].update({"rs": args.rs, "seed": args.seed})
         payload = {
             **base,
@@ -522,14 +532,6 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-_TOL_GAP_HELP = (
-    "relative root gap below which roots count as multiple; it governs "
-    'only diagnostics root_source "coefficients" (route phi, or a tuple '
-    'without a product form); "factor_union" roots use factor_gap_tol = '
-    f"{FACTOR_GAP_TOL:g}"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="tvspec", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -541,19 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="complex a+bi, Im > 0")
     p.add_argument("--route", choices=("phi", "factor", "both"),
                    default="both")
-    p.add_argument("--tol-im", type=float, default=1e-6, dest="tol_im")
-    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap",
-                   help=_TOL_GAP_HELP)
-    p.add_argument("--route-tol", type=float, default=1e-8, dest="route_tol")
     _add_common(p)
     p.set_defaults(func=cmd_qpoly)
 
     p = sub.add_parser("scan", help="classification along tau = i*b")
     p.add_argument("--n", required=True, help="n0,n1,n2,n3")
     p.add_argument("--b", required=True, help="start:stop:count, b > 0")
-    p.add_argument("--tol-im", type=float, default=1e-6, dest="tol_im")
-    p.add_argument("--tol-gap", type=float, default=1e-6, dest="tol_gap",
-                   help=_TOL_GAP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -562,10 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="complex a+bi, Im > 0")
     p.add_argument("--E", required=True, help="start:stop:count (real)")
     p.add_argument("--direction", choices=("1", "tau"), default="1")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--edge-tol", type=float, default=1e-8, dest="edge_tol")
-    p.add_argument("--im-tol", type=float, default=1e-6, dest="im_tol")
     _add_common(p)
     p.set_defaults(func=cmd_bands)
 
@@ -574,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="complex a+bi, Im > 0")
     p.add_argument("--re", required=True, help="start:stop:count for Re E")
     p.add_argument("--im", required=True, help="start:stop:count for Im E")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--tol-im", type=float, default=1e-6, dest="tol_im")
     _add_common(p)
     p.set_defaults(func=cmd_unitary)
 
@@ -588,9 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rs", default=None, help="r,s")
     p.add_argument("--tau", default=None,
                    help="evaluation point, or seed for zero-find")
-    p.add_argument("--floor", type=float, default=1e-8)
-    p.add_argument("--newton-tol", type=float, default=1e-10,
-                   dest="newton_tol")
     p.add_argument("--seed", type=int, default=None,
                    help="rng seed to jitter the multi-start seed lattice")
     _add_common(p)

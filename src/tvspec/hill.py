@@ -24,15 +24,17 @@ interval end and step count (t_end, steps) and every later trace on the
 problem reuses them: a band-edge refinement samples each node set once,
 not once per step.  The step count starts at 256 and doubles until the
 step-doubling estimate max |M_N - M_(N/2)| / 63 meets
-atol + rtol max |M_N| at every energy of the batch, so the energies of a
+ATOL + RTOL max |M_N| at every energy of the batch, so the energies of a
 batch share one step count (batch results agree with one-at-a-time
 integration within the tolerances; all quantities compared against them
-carry much looser thresholds).
+carry much looser thresholds).  Every tolerance is a fixed module
+constant.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +42,7 @@ from numpy.polynomial import polynomial as npp
 
 from .elliptic import LatticeData, make_lattice, wp
 from .errors import CheckError, NonConvergenceError, PoleError
-from .spectral import (
-    _as_tuple,
-    _check_tolerances,
-    q_via_phi_ansatz,
-    roots_and_classify,
-)
+from .spectral import _as_tuple, q_via_phi_ansatz, roots_and_classify
 
 __all__ = [
     "GLEProblem",
@@ -152,34 +149,23 @@ class GLEProblem:
     L: LatticeData
     n: tuple
     z_base: complex
-    rtol: float
-    atol: float
     potentials: dict = field(repr=False)
 
 
-def make_problem(
-    L: LatticeData,
-    n,
-    z_base: complex | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> GLEProblem:
+def make_problem(L: LatticeData, n,
+                 z_base: complex | None = None) -> GLEProblem:
     """Prepare loop potentials (with pole-clearance checks) for the tuple
     ``n`` on lattice ``L``.  The default base point 1/4 + tau/4 sits midway
     between the pole lines of both loop directions.  ``n`` must be four
-    non-negative integers, not all zero, z_base finite, and rtol and atol
-    finite and positive (ValueError)."""
+    non-negative integers, not all zero, and z_base finite (ValueError)."""
     n = _as_tuple(n)
-    _check_tolerances(rtol=rtol, atol=atol)
     if z_base is None:
         z_base = 0.25 + 0.25 * L.tau
     pots = {
         "1": PathPotential(L, n, z_base, 1.0),
         "tau": PathPotential(L, n, z_base, L.tau),
     }
-    return GLEProblem(
-        L=L, n=n, z_base=complex(z_base), rtol=rtol, atol=atol, potentials=pots
-    )
+    return GLEProblem(L=L, n=n, z_base=complex(z_base), potentials=pots)
 
 
 # ── transfer matrices ─────────────────────────────────────────────────────
@@ -205,6 +191,9 @@ def make_problem(
 # sinh(mu)/mu.
 
 _GAUSS = math.sqrt(15.0) / 10.0
+# step-doubling error target of every transfer matrix: ATOL + RTOL max |M|
+RTOL = 1e-10
+ATOL = 1e-12
 _STEPS_START = 256       # first step count tried (a power of two)
 _STEPS_MAX = 2 ** 16     # step doubling gives up past this count
 _BLOCK = 4096            # (energy x step) pairs per block of step matrices
@@ -318,7 +307,7 @@ def _checked_batch(prob: GLEProblem, e_values, direction: str):
     if not np.all(np.isfinite(e)):
         raise ValueError("energies must be finite")
     pot = prob.potentials[direction]
-    ms, steps = _transfer_batch(pot, e, 1.0, prob.rtol, prob.atol)
+    ms, steps = _transfer_batch(pot, e, 1.0, RTOL, ATOL)
     dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
     det_errors = np.abs(dets - 1.0)
     # det = 1 is exact; the attainable accuracy degrades with the square of
@@ -406,6 +395,8 @@ class BandStructure:
 
 
 _EDGE_STEPS = 200        # refinement budget per stability_set_1d call
+EDGE_TOL = 1e-8          # width to which each band-edge bracket is refined
+IM_TOL = 1e-6            # largest |Im Delta| / (1 + |Delta|) on the grid
 
 
 def stability_set_1d(
@@ -414,43 +405,45 @@ def stability_set_1d(
     e_max: float,
     num: int = 801,
     direction: str = "1",
-    edge_tol: float = 1e-8,
-    im_tol: float = 1e-6,
 ) -> BandStructure:
-    """Real-axis stability set {E : |Re Delta(E)| <= 2} with refined band
-    edges.  Delta is checked to be real (relative im_tol) on the whole
-    grid; bands truncated by the grid are flagged open.  Bands narrower
-    than the grid spacing can be missed; choose num accordingly.
+    """Real-axis stability set {E : |Re Delta(E)| <= 2} on a grid of
+    ``num`` points with refined band edges.  Delta is checked to be real
+    (relative IM_TOL) on the whole grid; bands truncated by the grid are
+    flagged open.  Bands narrower than the grid spacing can be missed;
+    choose num accordingly.
 
     Every grid cell where the stability flag flips brackets one edge by a
     point outside the band and one inside.  All brackets are refined
     together, one batched determinant-checked trace per step, until each
-    is within edge_tol (at most 200 steps).  A step is Illinois regula
+    is within EDGE_TOL (at most 200 steps).  A step is Illinois regula
     falsi (Dowell & Jarratt, BIT 11, 1971) on g = sgn Re Delta - 2, with
     sgn the sign of Re Delta at the outer end: the point where the chord
     of g between the two ends crosses zero, the g of an end kept twice in
     a row halved, the midpoint when the chord leaves the bracket, and the
-    point kept edge_tol/2 inside both ends, so a point that lands next to
+    point kept EDGE_TOL/2 inside both ends, so a point that lands next to
     the edge is followed by one just across it.  The ends' g come from the
     grid traces.  Orientation comes from the roles, not from
     re-sampled signs, so an edge that sits on a grid point (trace equal to
     +-2 within integrator noise) still converges to that point instead of
-    drifting across the cell.  edge_tol and im_tol must be finite and
-    positive (ValueError).  A bracket that cannot reach edge_tol raises
+    drifting across the cell.  A bracket that cannot reach EDGE_TOL raises
     NonConvergenceError with the width it reached: at once when its next
-    point rounds to one of its ends (edge_tol below the float spacing at
+    point rounds to one of its ends (EDGE_TOL below the float spacing at
     the edge), or when the 200 steps run out.  ``magnus_steps`` is the
     largest Magnus step count of the call and ``trace_calls`` the number
-    of batched traces."""
-    _check_tolerances(edge_tol=edge_tol, im_tol=im_tol)
+    of batched traces.  A window that is not finite with e_min < e_max,
+    or a ``num`` that is not an integer >= 2 (a one-point grid has no
+    cell to bracket an edge in), raises ValueError before any
+    integration."""
     if not (math.isfinite(e_min) and math.isfinite(e_max) and e_min < e_max):
         raise ValueError(
             f"energy window needs finite e_min < e_max, got {e_min!r}, {e_max!r}"
         )
-    grid = np.linspace(float(e_min), float(e_max), int(num))
+    if not (isinstance(num, numbers.Integral) and num >= 2):
+        raise ValueError(f"num must be an integer >= 2, got {num!r}")
+    grid = np.linspace(float(e_min), float(e_max), num)
     deltas, magnus_steps = trace_on_grid(prob, grid, direction)
     max_im = float(np.max(np.abs(deltas.imag) / (1.0 + np.abs(deltas))))
-    if max_im > im_tol:
+    if max_im > IM_TOL:
         raise CheckError(
             f"Delta is not real on the grid (relative imag {max_im:.2e}); "
             "the real-axis band picture does not apply"
@@ -467,7 +460,7 @@ def stability_set_1d(
     g_out = sgn * deltas.real[i_out] - 2.0   # > 0
     moved = np.zeros(len(flips), dtype=np.int8)  # end moved last: 1 in, -1 out
     for step in range(_EDGE_STEPS + 1):
-        act = np.flatnonzero(np.abs(e_in - e_out) > edge_tol)
+        act = np.flatnonzero(np.abs(e_in - e_out) > EDGE_TOL)
         if act.size == 0:
             break
         a_in, a_out = e_in[act], e_out[act]
@@ -475,19 +468,19 @@ def stability_set_1d(
         if step == _EDGE_STEPS:
             raise NonConvergenceError(
                 f"band-edge bracket still {np.max(width):.3g} wide after "
-                f"{_EDGE_STEPS} steps, above edge_tol={edge_tol:g}"
+                f"{_EDGE_STEPS} steps, above edge_tol={EDGE_TOL:g}"
             )
         lo, hi = np.minimum(a_in, a_out), np.maximum(a_in, a_out)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = ((a_in * g_out[act] - a_out * g_in[act])
                  / (g_out[act] - g_in[act]))
         x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
-        x = np.clip(x, lo + 0.5 * edge_tol, hi - 0.5 * edge_tol)
+        x = np.clip(x, lo + 0.5 * EDGE_TOL, hi - 0.5 * EDGE_TOL)
         stalled = (x == a_in) | (x == a_out)
         if np.any(stalled):
             raise NonConvergenceError(
                 f"band-edge bracket stalled at {np.max(width[stalled]):.3g} "
-                f"wide (adjacent floats), above edge_tol={edge_tol:g}"
+                f"wide (adjacent floats), above edge_tol={EDGE_TOL:g}"
             )
         trace, steps = trace_on_grid(prob, x, direction)
         re = trace.real
@@ -520,7 +513,7 @@ def stability_set_1d(
         e_max=float(e_max),
         bands=bands,
         max_im_delta=max_im,
-        edge_tol=edge_tol,
+        edge_tol=EDGE_TOL,
         energies=grid,
         deltas=deltas,
         magnus_steps=magnus_steps,
@@ -616,36 +609,33 @@ def at_root(qpoly: np.ndarray, e):
             <= ROOT_FACTOR * (1.0 + np.abs(e)) ** (len(qpoly) - 1))
 
 
-def _trace_unitary(delta, tol_im: float):
-    """Whether a trace is real and in [-2, 2] within tol_im (elementwise)."""
-    return (np.abs(delta.imag) <= tol_im * (1.0 + np.abs(delta))) & (
-        np.abs(delta.real) <= 2.0 + tol_im
+TOL_IM = 1e-6        # how far a unitary trace may stray from real [-2, 2]
+
+
+def _trace_unitary(delta):
+    """Whether a trace is real and in [-2, 2] within TOL_IM (elementwise)."""
+    return (np.abs(delta.imag) <= TOL_IM * (1.0 + np.abs(delta))) & (
+        np.abs(delta.real) <= 2.0 + TOL_IM
     )
 
 
-def _trace_parabolic(delta, tol_im: float):
-    """Whether a trace is +-2 within |Delta^2 - 4| <= 16 tol_im
+def _trace_parabolic(delta):
+    """Whether a trace is +-2 within |Delta^2 - 4| <= 16 TOL_IM
     (elementwise)."""
-    return np.abs(delta * delta - 4.0) <= 16.0 * tol_im
+    return np.abs(delta * delta - 4.0) <= 16.0 * TOL_IM
 
 
-def unitarity_grid(
-    prob: GLEProblem,
-    qpoly: np.ndarray,
-    re_values,
-    im_values,
-    tol_im: float = 1e-6,
-) -> dict:
+def unitarity_grid(prob: GLEProblem, qpoly: np.ndarray, re_values,
+                   im_values) -> dict:
     """Vectorized unitarity classification over a rectangular E-grid.
     Returns the trace arrays and boolean masks (shape len(im) x len(re)).
-    A point is unitary when both traces are real in [-2, 2] within tol_im
+    A point is unitary when both traces are real in [-2, 2] within TOL_IM
     and it is not a branch point.  The "at_root" mask marks the branch
     points: ``at_root`` holds, or both traces are +-2 within
-    |Delta^2 - 4| <= 16 tol_im.  Both traces are +-2 at every root of Q,
+    |Delta^2 - 4| <= 16 TOL_IM.  Both traces are +-2 at every root of Q,
     and next to a root where Q is steep the residual test of ``at_root``
-    misses.  "magnus_steps" maps each loop to the Magnus step count its
-    batch needed.  tol_im must be finite and positive (ValueError)."""
-    _check_tolerances(tol_im=tol_im)
+    misses.  "tol_im" is TOL_IM and "magnus_steps" maps each loop to the
+    Magnus step count its batch needed."""
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
     ee = (re_values[None, :] + 1j * im_values[:, None]).ravel()
@@ -655,8 +645,8 @@ def unitarity_grid(
     d1 = d1.reshape(shape)
     d2 = d2.reshape(shape)
     rootmask = at_root(qpoly, ee.reshape(shape)) | (
-        _trace_parabolic(d1, tol_im) & _trace_parabolic(d2, tol_im))
-    unitary = _trace_unitary(d1, tol_im) & _trace_unitary(d2, tol_im) & ~rootmask
+        _trace_parabolic(d1) & _trace_parabolic(d2))
+    unitary = _trace_unitary(d1) & _trace_unitary(d2) & ~rootmask
     return {
         "re_values": re_values,
         "im_values": im_values,
@@ -664,6 +654,6 @@ def unitarity_grid(
         "delta2": d2,
         "at_root": rootmask,
         "unitary": unitary,
-        "tol_im": tol_im,
+        "tol_im": TOL_IM,
         "magnus_steps": {"1": steps1, "tau": steps2},
     }

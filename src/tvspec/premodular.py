@@ -175,6 +175,9 @@ def rs_grid_default(nr: int = 20, ns: int = 20):
 
 # height range of the boundary samples
 _H_MIN, _H_MAX = 0.05, 10.0
+# the boundary scan passes when min |Z^(n)| exceeds this: an empirical
+# regression guard, not a proved bound
+FLOOR = 1e-8
 
 
 def boundary_tau_samples(count: int = 60):
@@ -194,16 +197,12 @@ def boundary_tau_samples(count: int = 60):
     return np.concatenate([left, right, circle])
 
 
-def boundary_nonvanishing_scan(
-    n: int,
-    rs_grid=None,
-    tau_grid=None,
-    floor: float = 1e-8,
-) -> dict:
+def boundary_nonvanishing_scan(n: int, rs_grid=None, tau_grid=None) -> dict:
     """min |Z^(n)| over (r,s) x boundary tau, with its argmin and a strict
-    positivity verdict against ``floor``.  The theorem behind it promises
-    nonvanishing for every non-half-torsion (r, s) on the whole boundary;
-    the floor is an empirical regression guard, not a proved bound.
+    positivity verdict against FLOOR (reported as "floor").  The theorem
+    behind it promises nonvanishing for every non-half-torsion (r, s) on
+    the whole boundary; the floor is an empirical regression guard, not a
+    proved bound.
 
     The boundary taus go in blocks of about _BLOCK (lattice, grid point)
     pairs: each block is one batch of lattices (every tau reduced on its
@@ -212,11 +211,8 @@ def boundary_nonvanishing_scan(
     |Z^(n)| is returned as the (len(taus), len(grid)) array "values",
     with the grid as arrays "r" and "s" and the boundary points as
     "taus".  The argmin is the first minimum in (tau index, grid index)
-    order; a NaN value fails the verdict.  Raises ValueError unless floor
-    is finite and positive (a floor <= 0 passes any values) and both
+    order; a NaN value fails the verdict.  Raises ValueError unless both
     grids are non-empty."""
-    if not (np.isfinite(floor) and floor > 0):
-        raise ValueError(f"floor must be finite and > 0, got {floor}")
     if rs_grid is None:
         rs_grid = rs_grid_default()
     if tau_grid is None:
@@ -239,8 +235,8 @@ def boundary_nonvanishing_scan(
         "min_abs": best,
         "argmin": (float(r[ig]), float(s[ig]), complex(taus[it])),
         "points": vals.size,
-        "floor": floor,
-        "passed": best > floor,
+        "floor": FLOOR,
+        "passed": best > FLOOR,
         "values": vals,
         "r": r,
         "s": s,
@@ -252,6 +248,8 @@ def boundary_nonvanishing_scan(
 
 _FIRST_CHORD = 1e-6   # the first secant runs from the seed to seed + this
 _MAX_ITER = 60
+# a run converges once |Z| and its last |step| are both below this
+NEWTON_TOL = 1e-10
 # a run ends once |Re tau - 1/2| exceeds this: F0 lies in 0 <= Re tau <= 1
 # and a step is at most 0.5 long, so the strip -1/2 <= Re tau <= 3/2
 # leaves one full step of margin on each side
@@ -280,11 +278,8 @@ def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
     Raises NonConvergenceError, naming tau, |Z| and tol, when a run's
     step no longer moves tau while |Z| is still above tol: there may be a
     zero that the run cannot resolve, so that run must not count as a
-    failure.  Raises ValueError unless tol is finite and positive (no
-    start could converge otherwise), there is a seed (zero runs cannot
+    failure.  Raises ValueError unless there is a seed (zero runs cannot
     claim absence) and every seed lies in the upper half plane."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     start = np.array([complex(x) for x in seeds], dtype=complex)
     if start.size == 0:
         raise ValueError("seeds must not be empty")
@@ -368,37 +363,24 @@ def _secant_lockstep(n: int, r: float, s: float, seeds, tol: float):
     return runs, diagnostics
 
 
-def zero_find(
-    n: int,
-    r: float,
-    s: float,
-    seed_tau: complex,
-    tol: float = 1e-10,
-) -> dict:
+def zero_find(n: int, r: float, s: float, seed_tau: complex) -> dict:
     """Secant iteration on tau for Z^(n)_{r,s}(tau) = 0 from one seed: the
     slope is that of the chord through the previous iterate (the first
     chord ends at seed + 1e-6), so each step builds one lattice.  It is
     the lockstep iteration of zero_find_multi run on this seed alone.
-    Converged means |Z| < tol and |step| < tol; the budget, half-plane,
-    strip (-1/2 <= Re tau <= 3/2) and slope-underflow exits raise
+    Converged means |Z| < NEWTON_TOL and |step| < NEWTON_TOL; the budget,
+    half-plane, strip (-1/2 <= Re tau <= 3/2) and slope-underflow exits raise
     NonConvergenceError naming the iteration they stopped at, and so does
     a step that no longer moves tau.  The returned F0 location tells
     whether the zero counts (interior) or not.  Raises ValueError unless
-    tol is finite and positive and the seed lies in the upper half
-    plane."""
-    (run,), _ = _secant_lockstep(n, r, s, [seed_tau], tol)
+    the seed lies in the upper half plane."""
+    (run,), _ = _secant_lockstep(n, r, s, [seed_tau], NEWTON_TOL)
     if not run["converged"]:
         raise NonConvergenceError(run["error"])
     return run
 
 
-def zero_find_multi(
-    n: int,
-    r: float,
-    s: float,
-    seeds=None,
-    tol: float = 1e-10,
-) -> dict:
+def zero_find_multi(n: int, r: float, s: float, seeds=None) -> dict:
     """The secant iteration of zero_find run from every seed in lockstep
     (default seeds: the SEED_LATTICE points inside F0), one batch of
     lattices per step, collecting the distinct interior zeros
@@ -406,8 +388,8 @@ def zero_find_multi(
     fails to converge or lands outside the interior.  A run fails on the
     60-step budget, below Im tau = 0.02, outside the strip
     -1/2 <= Re tau <= 3/2 or on a vanishing slope; a run whose step no
-    longer moves tau while |Z| >= tol raises NonConvergenceError for the
-    whole call, since it may sit at a zero.  Each run records its seed
+    longer moves tau while |Z| >= NEWTON_TOL raises NonConvergenceError for
+    the whole call, since it may sit at a zero.  Each run records its seed
     and iterations, a failed run its error; "diagnostics" counts the
     lattices built, the batched steps and the largest iteration count.
     An empty ``seeds`` raises ValueError: with no run, absence would hold
@@ -415,7 +397,7 @@ def zero_find_multi(
     if seeds is None:
         seeds = [t for t in SEED_LATTICE if classify_f0(t).inside]
     seeds = [complex(t) for t in seeds]
-    results, diagnostics = _secant_lockstep(n, r, s, seeds, tol)
+    results, diagnostics = _secant_lockstep(n, r, s, seeds, NEWTON_TOL)
     zeros = []
     runs = []
     for seed, res in zip(seeds, results):

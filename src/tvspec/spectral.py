@@ -49,7 +49,8 @@ Two independent routes are implemented and cross-checked:
 `spectral_report` classifies the roots of the factors when the product
 form exists (root_source "factor_union", gap tolerance FACTOR_GAP_TOL =
 1e-10) and the roots of the coefficients otherwise (root_source
-"coefficients", gap tolerance tol_gap).
+"coefficients", gap tolerance TOL_GAP = 1e-6).  The tolerances are fixed
+module constants; `spectral_report` lists them in its ``tolerances``.
 """
 
 from __future__ import annotations
@@ -482,14 +483,12 @@ class RootReport:
 # multiple only when closer than FACTOR_GAP_TOL * (1 + max |root|).
 _RESID_FACTOR = 1e-8
 FACTOR_GAP_TOL = 1e-10
-
-
-def _check_tolerances(**tols) -> None:
-    """ValueError unless every named tolerance is finite and positive (a
-    NaN or infinite tolerance passes or fails every comparison)."""
-    for name, value in tols.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+# relative to 1 + max |root|: the |Im| above which a root is non-real, and
+# the gap below which roots of the coefficients count as multiple
+TOL_IM = 1e-6
+TOL_GAP = 1e-6
+# largest coefficient distance between the two routes of route="both"
+ROUTE_TOL = 1e-8
 
 
 def _check_root_residuals(coeffs: np.ndarray, r: np.ndarray) -> float:
@@ -513,9 +512,10 @@ def _check_root_residuals(coeffs: np.ndarray, r: np.ndarray) -> float:
     return float(np.max(res))
 
 
-def _root_report(polys, tol_im: float, tol_gap: float) -> RootReport:
+def _root_report(polys, tol_gap: float) -> RootReport:
     """Residual-checked roots of every non-constant polynomial in
-    ``polys``, classified as one sorted set (the roots of their product)."""
+    ``polys``, classified as one sorted set (the roots of their product)
+    with TOL_IM and the gap tolerance ``tol_gap``."""
     parts = []
     residual_max = 0.0
     for p in polys:
@@ -533,7 +533,7 @@ def _root_report(polys, tol_im: float, tol_gap: float) -> RootReport:
         min_gap = float(np.min(dmat))
     else:
         min_gap = float("inf")
-    if max_imag > tol_im * scale:
+    if max_imag > TOL_IM * scale:
         cls = "has_complex"
     elif min_gap <= tol_gap * scale:
         cls = "has_multiple"
@@ -548,24 +548,19 @@ def _root_report(polys, tol_im: float, tol_gap: float) -> RootReport:
     )
 
 
-def roots_and_classify(
-    q: np.ndarray,
-    tol_im: float = 1e-6,
-    tol_gap: float = 1e-6,
-) -> RootReport:
+def roots_and_classify(q: np.ndarray) -> RootReport:
     """All roots of Q with a reality/simplicity classification.
 
     Scale-aware tolerances: with scale = 1 + max |root|, a root counts as
-    non-real when |Im| > tol_im * scale, and a pair as multiple when
-    closer than tol_gap * scale.  The gap default reflects what expanded
+    non-real when |Im| > TOL_IM * scale, and a pair as multiple when
+    closer than TOL_GAP * scale.  TOL_GAP reflects what expanded
     coefficients can resolve (near-multiple roots split by about the
     square root of the coefficient error); root sets assembled from the
     factor family tolerate much tighter gaps, see spectral_report.
     Residuals are guarded against an evaluation-noise bound or CheckError
-    is raised.  Both tolerances must be finite and positive (ValueError).
+    is raised.
     """
-    _check_tolerances(tol_im=tol_im, tol_gap=tol_gap)
-    return _root_report([q], tol_im, tol_gap)
+    return _root_report([q], TOL_GAP)
 
 
 @dataclass(frozen=True)
@@ -585,18 +580,11 @@ class SpectralReport:
     tolerances: dict = field(default_factory=dict)
 
 
-def spectral_report(
-    L: LatticeData,
-    n,
-    route: str = "both",
-    tol_im: float = 1e-6,
-    tol_gap: float = 1e-6,
-    route_tol: float = 1e-8,
-) -> SpectralReport:
+def spectral_report(L: LatticeData, n, route: str = "both") -> SpectralReport:
     """Compute Q by the requested route(s), classify roots, and cross-check.
 
     route="both" compares the two constructions and raises CheckError if
-    their coefficients disagree beyond route_tol; when the factorization is
+    their coefficients disagree beyond ROUTE_TOL; when the factorization is
     not constructible (some odd totals) the report downgrades to "phi".
 
     Whenever the factor family is available its root union feeds the
@@ -604,11 +592,10 @@ def spectral_report(
     low degree and well conditioned: its roots carry near-machine accuracy
     and resolve thin gaps between roots of different factors that the
     expanded coefficients fold into one cluster.  Otherwise the roots come
-    from the coefficients with tol_gap.  tol_im, tol_gap and route_tol
-    must be finite and positive (ValueError).
+    from the coefficients with TOL_GAP.  ``tolerances`` lists every
+    tolerance the report was held to.
     """
     n = _as_tuple(n)
-    _check_tolerances(tol_im=tol_im, tol_gap=tol_gap, route_tol=route_tol)
     if route not in ("phi", "factor", "both"):
         raise ValueError(f"unknown route {route!r}")
     diagnostics = {}
@@ -636,17 +623,17 @@ def spectral_report(
                 factor_degrees = tuple(len(p) - 1 for p in factors)
                 diagnostics["factor_tuple"] = fdet["tuple"]
                 discrepancy = coefficient_distance(q, qf)
-                if discrepancy > route_tol:
+                if discrepancy > ROUTE_TOL:
                     raise CheckError(
                         f"routes disagree: coefficient distance "
-                        f"{discrepancy:.2e} > {route_tol:g} for {n}"
+                        f"{discrepancy:.2e} > {ROUTE_TOL:g} for {n}"
                     )
 
     if factors is not None:
-        rr = _root_report(factors, tol_im, FACTOR_GAP_TOL)
+        rr = _root_report(factors, FACTOR_GAP_TOL)
         diagnostics["root_source"] = "factor_union"
     else:
-        rr = _root_report([q], tol_im, tol_gap)
+        rr = _root_report([q], TOL_GAP)
         diagnostics["root_source"] = "coefficients"
     return SpectralReport(
         n=n,
@@ -660,9 +647,9 @@ def spectral_report(
         factor_degrees=factor_degrees,
         diagnostics=diagnostics,
         tolerances={
-            "tol_im": tol_im,
-            "tol_gap": tol_gap,
-            "route_tol": route_tol,
+            "tol_im": TOL_IM,
+            "tol_gap": TOL_GAP,
+            "route_tol": ROUTE_TOL,
             "factor_gap_tol": FACTOR_GAP_TOL,
             "truncation_tol": TRUNCATION_TOL,
         },
@@ -724,22 +711,15 @@ class ScanResult:
     passed: bool
 
 
-def tau_scan(
-    n,
-    b_values,
-    tol_im: float = 1e-6,
-    tol_gap: float = 1e-6,
-) -> ScanResult:
+def tau_scan(n, b_values) -> ScanResult:
     """Classify the roots of Q along tau = i*b for each b in ``b_values``
     and compare with the class forced by the condition tables: C1/C2 expect
     a complex pair at every b, NEITHER expects real distinct roots at
     every b.  Per-point numerical failures (TvspecError, ValueError) are
-    collected, not raised; any other exception propagates.  Vacuous
-    tolerances, an empty ``b_values`` (a scan of no points would pass)
-    and a non-finite or non-positive b raise ValueError before the first
-    point."""
+    collected, not raised; any other exception propagates.  An empty
+    ``b_values`` (a scan of no points would pass) and a non-finite or
+    non-positive b raise ValueError before the first point."""
     n = _as_tuple(n)
-    _check_tolerances(tol_im=tol_im, tol_gap=tol_gap)
     b_values = [float(b) for b in b_values]
     if not b_values:
         raise ValueError("b_values must not be empty")
@@ -752,8 +732,7 @@ def tau_scan(
     def worker(b):
         try:
             L = make_lattice(1j * b)
-            rr = spectral_report(L, n, route="both",
-                                 tol_im=tol_im, tol_gap=tol_gap).root_report
+            rr = spectral_report(L, n, route="both").root_report
             return ScanPoint(
                 b=b,
                 classification=rr.classification,

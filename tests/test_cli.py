@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tvspec import __version__, cli
+from tvspec import __version__, cli, hill
 from tvspec.cli import fmt_complex, main, parse_complex, parse_grid
 from tvspec.hill import trace_on_grid
 from tvspec.premodular import boundary_nonvanishing_scan, z_n
@@ -218,6 +218,9 @@ def test_truncation_tol_flag_is_a_usage_error(capsys, argv):
     assert "--truncation-tol" in err
 
 
+# Every tolerance is a fixed constant: a tolerance flag, vacuous or not,
+# is an unknown option (exit 1, nothing on stdout, the flag named).
+
 @pytest.mark.parametrize("argv", [
     ["--op", "zero-find-multi", "--rs", "0.15,0.15", "--newton-tol", "0"],
     ["--op", "zero-find-multi", "--rs", "0.15,0.15", "--newton-tol", "-1"],
@@ -231,7 +234,7 @@ def test_premodular_refuses_vacuous_tolerances(capsys, argv):
     code, out, err = run(capsys, "premodular", "--n", "2", *argv)
     assert code == 1
     assert out == ""
-    assert "must be finite and > 0" in err
+    assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,7 +250,7 @@ def test_spectral_commands_refuse_vacuous_tolerances(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "must be finite and > 0" in err
+    assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,12 +264,50 @@ def test_spectral_commands_refuse_vacuous_tolerances(capsys, argv):
      "--im", "-2:2:3", "--tol-im", "nan"],
     ["unitary", "--n", "2,0,0,0", "--tau", "1i", "--re", "-6:6:5",
      "--im", "-2:2:3", "--rtol", "-1"],
+    ["unitary", "--n", "2,0,0,0", "--tau", "1i", "--re", "-6:6:5",
+     "--im", "-2:2:3", "--atol", "0"],
 ])
 def test_hill_commands_refuse_vacuous_tolerances(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "must be finite and > 0" in err
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
+@pytest.mark.parametrize("argv, code, loosened", [
+    (["qpoly", "--n", "0,1,1,0", "--tau", "1i"], 0, ["--tol-im", "10"]),
+    (["bands", "--n", "1,0,0,0", "--tau", "0.3+1i", "--E", "-8:8:161"], 2,
+     ["--im-tol", "1e9"]),
+])
+def test_a_loosened_tolerance_cannot_change_the_answer(capsys, argv, code,
+                                                       loosened):
+    # a C1 tuple on the imaginary axis keeps its complex pair, and a
+    # non-real trace gets no band table, however loose a caller would ask
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["classification"] == "has_complex"
+    got, out, err = run(capsys, *argv, *loosened)
+    assert (got, out) == (1, "")
+    assert loosened[0] in err
+
+
+REMOVED_FLAGS = {
+    "qpoly": ["--tol-im", "--tol-gap", "--route-tol"],
+    "scan": ["--tol-im", "--tol-gap"],
+    "bands": ["--rtol", "--atol", "--edge-tol", "--im-tol"],
+    "unitary": ["--rtol", "--atol", "--tol-im"],
+    "premodular": ["--floor", "--newton-tol"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REMOVED_FLAGS))
+def test_help_lists_no_tolerance_flag(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith("usage: tvspec " + command)
+    for flag in REMOVED_FLAGS[command]:
+        assert flag not in out
 
 
 def test_qpoly_c1_tuple_on_the_axis_has_complex(capsys):
@@ -299,6 +340,21 @@ def test_gap_tolerance_that_classified_is_reported(capsys, tmp_path):
     code, out, _ = run(capsys, "scan", "--n", "2,0,0,0", "--b", "0.8:1.2:3")
     assert code == 0
     assert json.loads(out)["tolerances"]["factor_gap_tol"] == 1e-10
+
+
+def test_scan_reports_the_route_tolerance(capsys):
+    # every scan point runs route "both" and fails beyond route_tol
+    argv = ["scan", "--n", "2,0,0,0", "--b", "0.8:1.2:3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    tols = json.loads(out)["tolerances"]
+    assert list(tols) == ["tol_im", "tol_gap", "route_tol", "factor_gap_tol",
+                          "truncation_tol"]
+    assert tols["route_tol"] == 1e-8
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    line = out.split("\r\n")[1]
+    assert json.loads(line.removeprefix("# tolerances: ")) == tols
 
 
 def test_bands_payload(capsys):
@@ -336,12 +392,14 @@ def test_bands_rejects_zero_edge_tol(capsys):
                          "--E", "-8:8:5", "--edge-tol", "0")
     assert code == 1
     assert out == ""
-    assert "edge_tol" in err
+    assert "unrecognized arguments: --edge-tol" in err
 
 
-def test_bands_unreachable_edge_tol_is_nonconvergence(capsys):
+def test_bands_unreachable_edge_tol_is_nonconvergence(capsys, monkeypatch):
+    # the brackets stall one ulp wide, far above an edge tolerance of 1e-20
+    monkeypatch.setattr(hill, "EDGE_TOL", 1e-20)
     code, out, err = run(capsys, "bands", "--n", "1,0,0,0", "--tau", "0+1i",
-                         "--E", "-8:8:161", "--edge-tol", "1e-20")
+                         "--E", "-8:8:161")
     assert code == 3
     assert out == ""
     assert "edge_tol=1e-20" in err

@@ -41,3 +41,16 @@ FIXED = [
 def test_fixed_values_are_not_parameters(module, func, param):
     fn = getattr(importlib.import_module(f"tvspec.{module}"), func)
     assert param not in inspect.signature(fn).parameters
+
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_public_function_takes_a_tolerance(module):
+    # every tolerance is a module constant; the private kernels
+    # (_transfer_batch, _secant_lockstep) keep theirs for the tests
+    mod = importlib.import_module(f"tvspec.{module}")
+    found = [(name, p) for name in getattr(mod, "__all__", ())
+             if inspect.isfunction(fn := getattr(mod, name))
+             for p in inspect.signature(fn).parameters
+             if "tol" in p or p == "floor"]
+    assert found == []

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -99,8 +98,7 @@ def test_edges_are_bisected_together(monkeypatch):
     monkeypatch.setattr(hill, "trace_on_grid", counting)
     for n, edges in (((1, 0, 0, 0), 3), ((2, 0, 0, 0), 5)):
         calls.clear()
-        bs = stability_set_1d(problem(1j, n), -30.0, 30.0, num=1201,
-                              edge_tol=1e-8)
+        bs = stability_set_1d(problem(1j, n), -30.0, 30.0, num=1201)
         assert len(bs.finite_edges) == edges
         assert calls[0] == 1201 and calls[1] == edges
         assert calls[1:] == sorted(calls[1:], reverse=True)
@@ -109,7 +107,7 @@ def test_edges_are_bisected_together(monkeypatch):
 
 
 def test_stalled_bracket_raises(monkeypatch):
-    # the +-6.875 brackets stop shrinking at one ulp (~9e-16): an edge_tol
+    # the +-6.875 brackets stop shrinking at one ulp (~9e-16): an EDGE_TOL
     # of 1e-20 is refused there instead of spending the halving budget
     calls = []
     real = hill.trace_on_grid
@@ -119,16 +117,16 @@ def test_stalled_bracket_raises(monkeypatch):
         return real(prob, e_values, direction)
 
     monkeypatch.setattr(hill, "trace_on_grid", counting)
+    monkeypatch.setattr(hill, "EDGE_TOL", 1e-20)
     with pytest.raises(NonConvergenceError, match="stalled.*edge_tol=1e-20"):
-        stability_set_1d(problem(1j, (1, 0, 0, 0)), -8.0, 8.0, num=161,
-                         edge_tol=1e-20)
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), -8.0, 8.0, num=161)
     assert len(calls) < 60
 
 
 def test_exhausted_halving_budget_raises(monkeypatch):
     # a synthetic trace, 0 for E <= 0 and 3 beyond, puts an edge exactly at
     # the grid point 0, so the bracket (0, 1) shrinks toward 0 without
-    # stalling; a budget of 3 steps runs out above edge_tol
+    # stalling; a budget of 3 steps runs out above an EDGE_TOL of 1e-320
     calls = []
 
     def synthetic(prob, e_values, direction="1"):
@@ -137,9 +135,9 @@ def test_exhausted_halving_budget_raises(monkeypatch):
 
     monkeypatch.setattr(hill, "trace_on_grid", synthetic)
     monkeypatch.setattr(hill, "_EDGE_STEPS", 3)
+    monkeypatch.setattr(hill, "EDGE_TOL", 1e-320)
     with pytest.raises(NonConvergenceError, match="after 3 steps"):
-        stability_set_1d(problem(1j, (1, 0, 0, 0)), -1.0, 1.0, num=3,
-                         edge_tol=1e-320)
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), -1.0, 1.0, num=3)
     assert calls == [3] + [1] * 3
 
 
@@ -165,14 +163,13 @@ def _coarse_grid(prob):
 
 
 def _partial_interval(prob):
-    _transfer_batch(prob.potentials["1"], [0.3, -2.0], 0.4, prob.rtol,
-                    prob.atol)
+    _transfer_batch(prob.potentials["1"], [0.3, -2.0], 0.4, hill.RTOL,
+                    hill.ATOL)
 
 
 def _tighter_rtol(prob):
     pot = prob.potentials["1"]
-    trace_on_grid(dataclasses.replace(prob, rtol=1e-13, atol=1e-14),
-                  [-1.0, 3.0])
+    _transfer_batch(pot, [-1.0, 3.0], 1.0, 1e-13, 1e-14)
     assert (1.0, 512) in pot._nodes
 
 
@@ -211,12 +208,12 @@ def test_edge_on_a_grid_point(root):
     # the edge across the cell
     L = lattice(1j)
     e = getattr(L, root).real
-    h, k, tol = 0.02, 300, 1e-8
+    h, k = 0.02, 300
     e_min = e - k * h
     bs = stability_set_1d(problem(1j, (1, 0, 0, 0)), e_min, e_min + 600 * h,
-                          num=601, edge_tol=tol)
+                          num=601)
     assert abs(bs.energies[k] - e) < 1e-12
-    assert min(abs(x - e) for x in bs.finite_edges) <= tol
+    assert min(abs(x - e) for x in bs.finite_edges) <= hill.EDGE_TOL
 
 
 def test_band_structure_reports_its_cost():
@@ -236,9 +233,12 @@ def test_band_structure_keeps_the_grid_traces():
     assert np.array_equal(bs.deltas, trace_on_grid(prob, bs.energies)[0])
 
 
+# The tolerances are fixed module constants: no keyword lets a vacuous
+# value in.
+
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
 def test_stability_rejects_bad_edge_tol(tol):
-    with pytest.raises(ValueError, match="edge_tol"):
+    with pytest.raises(TypeError, match="edge_tol"):
         stability_set_1d(problem(1j, (1, 0, 0, 0)), -4.0, 4.0, num=21,
                          edge_tol=tol)
 
@@ -247,14 +247,28 @@ def test_stability_rejects_bad_edge_tol(tol):
 def test_hill_refuses_vacuous_tolerances(tol):
     L = lattice(1j)
     for name in ("rtol", "atol"):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(TypeError, match=name):
             make_problem(L, (1, 0, 0, 0), **{name: tol})
     prob = problem(1j, (1, 0, 0, 0))
-    with pytest.raises(ValueError, match="im_tol"):
+    with pytest.raises(TypeError, match="im_tol"):
         stability_set_1d(prob, -4.0, 4.0, num=21, im_tol=tol)
     q, _ = _roots(1j, (1, 0, 0, 0))
-    with pytest.raises(ValueError, match="tol_im"):
+    with pytest.raises(TypeError, match="tol_im"):
         unitarity_grid(prob, q, [0.0], [0.0], tol_im=tol)
+
+
+@pytest.mark.parametrize("num", [-1, 0, 1, 2.5])
+def test_stability_rejects_a_grid_without_cells(num, monkeypatch):
+    # one grid point would give a band [e_min, e_min] open at both ends,
+    # on which a dual-torus check passes vacuously; 2.5 would be truncated
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a trace was integrated")
+
+    monkeypatch.setattr(hill, "trace_on_grid", no_trace)
+    with pytest.raises(ValueError, match="num must be an integer >= 2"):
+        stability_set_1d(problem(1j, (1, 0, 0, 0)), -8.0, 8.0, num=num)
+    with pytest.raises(ValueError, match="num must be an integer >= 2"):
+        dual_torus_exclusion((1, 0, 0, 0), 1j, -8.0, 8.0, num=num)
 
 
 def test_stability_rejects_nonreal_trace():
@@ -313,8 +327,8 @@ def test_unitarity_grid_agrees_with_the_probe():
         assert abs(res["delta1"][0, i] - r1.delta) < 1e-9
         assert abs(res["delta2"][0, i] - r2.delta) < 1e-9
         assert res["at_root"][0, i] == at_root(q, complex(e))
-        unit = (_trace_unitary(r1.delta, res["tol_im"])
-                and _trace_unitary(r2.delta, res["tol_im"])
+        assert res["tol_im"] == hill.TOL_IM
+        unit = (_trace_unitary(r1.delta) and _trace_unitary(r2.delta)
                 and not res["at_root"][0, i])
         assert res["unitary"][0, i] == unit
     assert res["at_root"][0, 0] and not res["at_root"][0, 1]
@@ -399,8 +413,8 @@ def test_direction1_floquet_density_invariance():
     pot1 = prob.potentials["1"]
     worst = 0.0
     for s in (0.05, 0.4, 0.6, 0.9):
-        y_s = _transfer_batch(pot1, [e], s, prob.rtol, prob.atol)[0][0]
-        y_s1 = _transfer_batch(pot1, [e], 1.0 + s, prob.rtol, prob.atol)[0][0]
+        y_s = _transfer_batch(pot1, [e], s, hill.RTOL, hill.ATOL)[0][0]
+        y_s1 = _transfer_batch(pot1, [e], 1.0 + s, hill.RTOL, hill.ATOL)[0][0]
         u, u1 = y_s @ v, y_s1 @ v
         g = np.sum(np.abs(u[0, :]) ** 2)
         g1 = np.sum(np.abs(u1[0, :]) ** 2)

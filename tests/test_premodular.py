@@ -300,10 +300,12 @@ def test_zero_find_refuses_vacuous_tol(tol, monkeypatch):
     def no_lattice(tau):
         raise AssertionError("a lattice was built")
 
+    # NEWTON_TOL is a fixed module constant: no keyword lets a vacuous
+    # value in
     monkeypatch.setattr(premodular, "make_lattice", no_lattice)
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(TypeError, match="tol"):
         zero_find(2, 0.15, 0.15, 0.7 + 0.7j, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(TypeError, match="tol"):
         zero_find_multi(2, 0.15, 0.15, tol=tol)
 
 
@@ -329,7 +331,8 @@ def test_zero_finders_refuse_non_finite_torsion_points(r, s):
 
 @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])
 def test_boundary_scan_refuses_vacuous_floor(floor):
-    with pytest.raises(ValueError, match="floor"):
+    # FLOOR is a fixed module constant: no keyword lets a vacuous value in
+    with pytest.raises(TypeError, match="floor"):
         boundary_nonvanishing_scan(2, rs_grid=[(0.3, 0.3)], tau_grid=[1j],
                                    floor=floor)
 

@@ -45,7 +45,7 @@ def test_tau_scan_script_rejects_bad_input(capsys, argv, message):
 
 @pytest.mark.parametrize("argv,message", [
     (["--tau-count", "1"], "count must be >= 3"),
-    (["--floor", "-1"], "floor must be finite and > 0"),
+    (["--floor", "-1"], "unrecognized arguments: --floor"),
     (["--rs", "0", "5"], "rs_grid must not be empty"),
 ])
 def test_boundary_script_rejects_bad_input(capsys, argv, message):
@@ -53,3 +53,12 @@ def test_boundary_script_rejects_bad_input(capsys, argv, message):
         load("premodular_boundary").main(["2", "--rs", "2", "2", *argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_band_script_rejects_a_grid_without_cells(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("band_diagram").main(["1", "0", "0", "0", "--num", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--num must be >= 2" in err

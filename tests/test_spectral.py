@@ -222,10 +222,10 @@ def test_spectral_report_cross_checks():
         spectral_report(L, (2, 0, 0, 0), route="nope")
 
 
-def test_route_disagreement_raises():
-    L = lattice(1j)
-    with pytest.raises(CheckError):
-        spectral_report(L, (2, 0, 0, 0), route_tol=1e-18)
+def test_route_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "ROUTE_TOL", 1e-18)
+    with pytest.raises(CheckError, match="routes disagree.*> 1e-18"):
+        spectral_report(lattice(1j), (2, 0, 0, 0))
 
 
 def test_factor_union_resolves_thin_gaps():
@@ -465,6 +465,8 @@ def test_held_out_check_catches_an_equal_error_at_both_points(monkeypatch):
         q_via_phi_ansatz(lattice(1j), (2, 1, 1, 0))
 
 
+# The tolerances are fixed module constants: no keyword lets a vacuous
+# value in.
 VACUOUS = [0.0, -1e-6, np.nan, np.inf]
 
 
@@ -472,7 +474,7 @@ VACUOUS = [0.0, -1e-6, np.nan, np.inf]
 def test_spectral_report_refuses_vacuous_tolerances(tol):
     L = lattice(1j)
     for name in ("tol_im", "tol_gap", "route_tol"):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(TypeError, match=name):
             spectral_report(L, (0, 1, 1, 0), **{name: tol})
 
 
@@ -480,7 +482,7 @@ def test_spectral_report_refuses_vacuous_tolerances(tol):
 def test_roots_and_classify_refuses_vacuous_tolerances(tol):
     q = np.array([-6.0, 11.0, -6.0, 1.0])
     for name in ("tol_im", "tol_gap"):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(TypeError, match=name):
             roots_and_classify(q, **{name: tol})
 
 
@@ -491,7 +493,7 @@ def test_tau_scan_refuses_vacuous_tolerances_before_scanning(tol, monkeypatch):
 
     monkeypatch.setattr(spectral, "make_lattice", no_lattice)
     for name in ("tol_im", "tol_gap"):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(TypeError, match=name):
             tau_scan((1, 0, 0, 1), [0.8, 1.0], **{name: tol})
 
 
