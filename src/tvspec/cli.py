@@ -416,8 +416,21 @@ def _premodular_n(args) -> int:
     return n
 
 
+# the premodular flags each op reads; it refuses any other it is given
+_PREMODULAR_FLAGS = {
+    "eval": ("rs", "tau"),
+    "boundary-scan": (),
+    "zero-find": ("rs", "tau"),
+    "zero-find-multi": ("rs", "seed"),
+}
+
+
 def cmd_premodular(args) -> int:
     n = _premodular_n(args)
+    for flag in ("rs", "tau", "seed"):
+        if (getattr(args, flag) is not None
+                and flag not in _PREMODULAR_FLAGS.get(args.op, ())):
+            raise UsageError(f"premodular --op {args.op} does not read --{flag}")
     base = {
         "config": {"op": args.op, "n": n},
         "tolerances": {
@@ -573,11 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("eval", "boundary-scan", "zero-find",
                             "zero-find-multi"))
     p.add_argument("--n", required=True, help="form index 1..4")
-    p.add_argument("--rs", default=None, help="r,s")
+    p.add_argument("--rs", default=None,
+                   help="r,s (eval, zero-find, zero-find-multi)")
     p.add_argument("--tau", default=None,
-                   help="evaluation point, or seed for zero-find")
+                   help="evaluation point (eval), or seed (zero-find)")
     p.add_argument("--seed", type=int, default=None,
-                   help="rng seed to jitter the multi-start seed lattice")
+                   help="rng seed to jitter the multi-start seed lattice "
+                        "(zero-find-multi)")
     _add_common(p)
     p.set_defaults(func=cmd_premodular)
 

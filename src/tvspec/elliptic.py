@@ -72,8 +72,10 @@ class LatticeData:
     """Cached constants of the lattice Z + Z*tau; for a batch of lattices
     every field is a 1-D array over tau.  ``reduced`` is the lattice
     Z + Z*tau' of the reduced tau' = gamma tau, on which the series run,
-    and ``lam`` = c*tau + d, so that Z + Z*tau = lam (Z + Z*tau');
-    ``reduced`` is None when tau is already reduced (lam = 1)."""
+    and ``lam`` = c*tau + d, so that Z + Z*tau = lam (Z + Z*tau'); a tau
+    already reduced has gamma = I, lam = 1 and tau' = tau.  ``reduced``
+    itself has ``reduced`` None and lam = 1: it holds the constants the
+    evaluators read, and they take the lattice from make_lattice."""
 
     tau: complex
     q: complex                # nome exp(i*pi*tau)
@@ -84,8 +86,8 @@ class LatticeData:
     g3: complex
     eta1: complex
     eta2: complex
-    reduced: LatticeData | None = None
-    lam: complex = 1.0
+    reduced: LatticeData | None
+    lam: complex
 
     @property
     def half_periods(self):
@@ -251,7 +253,8 @@ def _lattice_on_cell(tau, batch: bool) -> LatticeData:
     g3 = 4.0 * e1 * e2 * e3
     eta1 = k * (d3 / d1)
     return LatticeData(tau=tau, q=q, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3,
-                       eta1=eta1, eta2=eta1 * tau - _TWO_PI_I)
+                       eta1=eta1, eta2=eta1 * tau - _TWO_PI_I, reduced=None,
+                       lam=1.0)
 
 
 def make_lattice(tau) -> LatticeData:
@@ -259,13 +262,13 @@ def make_lattice(tau) -> LatticeData:
 
     tau is a scalar or a non-empty 1-D array.  Each tau is reduced on its
     own to tau' = gamma tau in |Re tau'| <= 1/2, |tau'| >= 1, and the
-    series run only on Z + Z*tau' (``reduced``; a tau already reduced is
-    its own lattice).  With gamma = ((a, b), (c, d)) and lam = c*tau + d
-    the constants come back by weight: e_k is the e' of the half period
-    w_k/lam over lam^2 (the label fixed by (a, c), (b, d) or (a + b,
-    c + d) mod 2), g2 = g2'/lam^4, g3 = g3'/lam^6, and
-    eta1 = (a*eta1' - c*eta2')/lam; eta2 follows from the Legendre
-    relation.
+    series run only on Z + Z*tau' (``reduced``, always set; a tau already
+    reduced is reduced by the identity, lam = 1).  With
+    gamma = ((a, b), (c, d)) and lam = c*tau + d the constants come back
+    by weight: e_k is the e' of the half period w_k/lam over lam^2 (the
+    label fixed by (a, c), (b, d) or (a + b, c + d) mod 2),
+    g2 = g2'/lam^4, g3 = g3'/lam^6, and eta1 = (a*eta1' - c*eta2')/lam;
+    eta2 follows from the Legendre relation.
 
     For an array the result is one LatticeData whose fields are arrays
     over tau, built by one pass of the theta-constant sums; the evaluators
@@ -280,45 +283,26 @@ def make_lattice(tau) -> LatticeData:
     overflow there) or the reduction needs |c| >= 2^26.
     """
     batch = np.ndim(tau) > 0
-    if batch:
-        tau = np.asarray(tau, dtype=complex)
-        if tau.ndim != 1 or tau.size == 0:
-            raise ValueError("tau must be a scalar or a non-empty 1-D array")
-        if not np.all(np.isfinite(tau)):
-            raise ValueError("tau must be finite")
-        if np.any(tau.imag <= 0):
-            raise ValueError(f"Im tau must be positive, got tau = "
-                             f"{tau[tau.imag <= 0][0]}")
-    else:
-        tau = complex(tau)
-        if not np.isfinite(tau.real) or not np.isfinite(tau.imag):
-            raise ValueError("tau must be finite")
-        if tau.imag <= 0:
-            raise ValueError(f"Im tau must be positive, got tau = {tau}")
-    if batch:
-        a, b, c, d = np.array([_reduction(t) for t in tau.tolist()],
-                              dtype=float).T
-    else:
-        a, b, c, d = _reduction(tau)
-    moved = b.any() or c.any() if batch else b or c
-    if moved:
-        lam = _affine(c, tau, d)
-        tau_red = _affine(a, tau, b) / lam
-    else:
-        tau_red = tau
-    if batch:
-        far = (np.abs(c) >= _MAX_C) | (tau_red.imag > _MAX_IM_REDUCED)
-    else:
-        far = abs(c) >= _MAX_C or tau_red.imag > _MAX_IM_REDUCED
-    if far.any() if batch else far:
-        raise NonConvergenceError(
-            f"tau = {tau[far][0] if batch else tau} is out of the kernel's "
-            f"range: its reduced lattice needs Im tau' <= "
-            f"{_MAX_IM_REDUCED:g} (the theta terms overflow above) and "
-            f"|c| < 2^26 in lam = c*tau + d")
+    tau = np.asarray(tau, dtype=complex) if batch else complex(tau)
+    if batch and (tau.ndim != 1 or tau.size == 0):
+        raise ValueError("tau must be a scalar or a non-empty 1-D array")
+    taus = tau.tolist() if batch else [tau]
+    if not all(map(cmath.isfinite, taus)):
+        raise ValueError("tau must be finite")
+    for t in taus:
+        if t.imag <= 0:
+            raise ValueError(f"Im tau must be positive, got tau = {t}")
+    gammas = [_reduction(t) for t in taus]
+    a, b, c, d = np.array(gammas, dtype=float).T if batch else gammas[0]
+    lam = _affine(c, tau, d)
+    tau_red = _affine(a, tau, b) / lam
+    for t, g, im in zip(taus, gammas, np.ravel(tau_red.imag).tolist()):
+        if abs(g[2]) >= _MAX_C or im > _MAX_IM_REDUCED:
+            raise NonConvergenceError(
+                f"tau = {t} is out of the kernel's range: its reduced lattice "
+                f"needs Im tau' <= {_MAX_IM_REDUCED:g} (the theta terms "
+                f"overflow above) and |c| < 2^26 in lam = c*tau + d")
     R = _lattice_on_cell(tau_red, batch)
-    if not moved:
-        return R
     # the half period m/2 + n tau'/2 (m, n mod 2) has label m + 2n - 1 in
     # (e1', e2', e3'); w1/lam = a - c tau', w2/lam = -b + d tau'
     labels = [m % 2 + 2 * (n % 2) - 1
@@ -345,10 +329,9 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     the last axis of z; raises ValueError when a point is not finite and
     PoleError when a point lies within POLE_GUARD of the lattice.
 
-    The series run on the reduced lattice Z + Z*tau' at w = z/lam
-    (w = z when tau is reduced), and the values come back as
-    (zeta_R(w)/lam, wp_R(w)/lam^2, wp_R'(w)/lam^3), _R marking the
-    functions of Z + Z*tau'.  With w = w_red + m + n*tau' and w_red
+    The series run on the reduced lattice Z + Z*tau' at w = z/lam, and
+    the values come back as (zeta_R(w)/lam, wp_R(w)/lam^2,
+    wp_R'(w)/lam^3), _R marking the functions of Z + Z*tau'.  With w = w_red + m + n*tau' and w_red
     reduced to the cell of tau':
     zeta_R(w) = eta1' w_red + theta1'(w_red)/theta1(w_red) + m eta1' + n eta2',
     wp_R = -zeta_R' and wp_R' = -zeta_R''.  Lattice coordinates of w_red lie in
@@ -363,8 +346,8 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     if not np.all(np.isfinite(z)):
         raise ValueError("evaluation points must be finite")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    R = L if L.reduced is None else L.reduced
-    w = z if L.reduced is None else np.asarray(z, dtype=complex) / L.lam
+    R = L.reduced
+    w = np.asarray(z, dtype=complex) / L.lam
     w_red, m, n = reduce_to_cell(w, R.tau)
     near = np.abs(w_red) < POLE_GUARD / abs(L.lam)
     if np.any(near):
@@ -377,8 +360,7 @@ def zeta_wp_wp_prime(z, L: LatticeData):
     zeta = R.eta1 * w_red + th1 / th + m * R.eta1 + n * R.eta2
     p = -R.eta1 - (th2 * th - th1 * th1) / (th * th)
     pp = -(th3 * th * th - 3.0 * th2 * th1 * th + 2.0 * th1 ** 3) / th ** 3
-    if L.reduced is not None:
-        zeta, p, pp = zeta / L.lam, p / L.lam ** 2, pp / L.lam ** 3
+    zeta, p, pp = zeta / L.lam, p / L.lam ** 2, pp / L.lam ** 3
     if scalar:
         return complex(zeta), complex(p), complex(pp)
     return zeta, p, pp

@@ -715,8 +715,8 @@ def tau_scan(n, b_values) -> ScanResult:
     """Classify the roots of Q along tau = i*b for each b in ``b_values``
     and compare with the class forced by the condition tables: C1/C2 expect
     a complex pair at every b, NEITHER expects real distinct roots at
-    every b.  Per-point numerical failures (TvspecError, ValueError) are
-    collected, not raised; any other exception propagates.  An empty
+    every b.  Per-point numerical failures (TvspecError) are collected,
+    not raised; any other exception propagates.  An empty
     ``b_values`` (a scan of no points would pass) and a non-finite or
     non-positive b raise ValueError before the first point."""
     n = _as_tuple(n)
@@ -741,7 +741,7 @@ def tau_scan(n, b_values) -> ScanResult:
                 min_gap=rr.min_gap,
                 roots=rr.roots,
             )
-        except (TvspecError, ValueError) as exc:  # keep scanning
+        except TvspecError as exc:  # keep scanning
             return ScanPoint(
                 b=b, classification=None, ok=False, max_imag=None,
                 min_gap=None, roots=None, error=f"{type(exc).__name__}: {exc}",

@@ -477,6 +477,32 @@ def test_zero_find_multi_former_crashes_answer(capsys):
     assert json.loads(out)["any_interior_zero"] is True
 
 
+# the flags each premodular op reads, with values it accepts
+PREMODULAR_READS = {
+    "eval": ["--rs", "0.3,0.2", "--tau", "1.1i"],
+    "boundary-scan": [],
+    "zero-find": ["--rs", "0.15,0.15", "--tau", "0.7+0.7i"],
+    "zero-find-multi": ["--rs", "0.3,0.3", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("op, flag, value", [
+    ("eval", "--seed", "9"),
+    ("boundary-scan", "--rs", "0.3,0.3"),
+    ("boundary-scan", "--tau", "5i"),
+    ("boundary-scan", "--seed", "9"),
+    ("zero-find", "--seed", "9"),
+    ("zero-find-multi", "--tau", "5i"),
+])
+def test_premodular_refuses_a_flag_its_op_does_not_read(capsys, op, flag,
+                                                        value):
+    code, out, err = run(capsys, "premodular", "--op", op, "--n", "2",
+                         *PREMODULAR_READS[op], flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"premodular --op {op} does not read {flag}" in err
+
+
 def test_premodular_rejects_tuple_n(capsys):
     assert run(capsys, "premodular", "--op", "eval", "--n", "1,0,0,1",
                "--rs", "0.3,0.2", "--tau", "0+1i")[0] == 1

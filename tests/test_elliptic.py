@@ -297,6 +297,33 @@ def test_make_lattice_rejects_lower_half_plane():
             make_lattice(np.array(bad, dtype=complex))
 
 
+# taus already in |Re tau| <= 1/2, |tau| >= 1, Re tau = 1/2 included
+REDUCED_TAUS = (1j, 0.3 + 1.1j, 0.5 + 0.9j, -0.4 + 1j, 2.5j)
+
+
+@pytest.mark.parametrize("tau", REDUCED_TAUS + (np.array(REDUCED_TAUS),),
+                         ids=[str(t) for t in REDUCED_TAUS] + ["batch"])
+def test_a_reduced_tau_is_reduced_by_the_identity(tau):
+    L = make_lattice(tau)
+    R = L.reduced
+    assert np.all(L.lam == 1)
+    assert np.all(R.tau == L.tau)
+    for name in ("e1", "e2", "e3", "g2", "g3", "eta1", "eta2"):
+        assert np.all(getattr(L, name) == getattr(R, name)), name
+
+
+def test_make_lattice_checks_finiteness_then_sign_then_range():
+    # every tau of a batch is checked for finiteness before any for
+    # Im tau > 0, and both before any reduction is range-checked
+    for bad in ([150.5j, np.nan], [-1j, np.nan]):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            make_lattice(np.array(bad))
+    with pytest.raises(ValueError, match="Im tau must be positive"):
+        make_lattice(np.array([151j, -1j]))
+    with pytest.raises(NonConvergenceError, match="150.5j"):
+        make_lattice(np.array([1j, 150.5j]))
+
+
 # a mixed batch: Im tau log-spaced over [0.05, 10] in shuffled order, so
 # thin lattices (long series) sit beside thick ones (two terms), and the
 # cusps 0 and 1 of F0 at the lowest height

@@ -280,6 +280,17 @@ def test_tau_scan_lets_programming_errors_through(monkeypatch):
         tau_scan((1, 0, 0, 1), [0.8, 1.0])
 
 
+def test_tau_scan_lets_a_value_error_through(monkeypatch):
+    # b is checked before the loop and the tuple by _as_tuple, so a
+    # ValueError inside a point is a bug, not a data row
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(spectral, "polynomial_roots", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        tau_scan((2, 0, 0, 0), [1.0, 1.5])
+
+
 def test_tau_scan_records_numerical_failures(monkeypatch):
     real = spectral.spectral_report
 
