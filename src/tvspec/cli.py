@@ -363,6 +363,7 @@ def cmd_bands(args) -> int:
         "diagnostics": {
             "magnus_steps": bands.magnus_steps,
             "trace_calls": bands.trace_calls,
+            "magnus_error_ratio": bands.magnus_error_ratio,
         },
     }
     d = bands.deltas
@@ -395,7 +396,10 @@ def cmd_unitary(args) -> int:
         "unitary_count": int(np.sum(res["unitary"])),
         "at_root_count": int(np.sum(res["at_root"])),
         "any_unitary": bool(np.any(res["unitary"])),
-        "diagnostics": {"magnus_steps": res["magnus_steps"]},
+        "diagnostics": {
+            "magnus_steps": res["magnus_steps"],
+            "magnus_error_ratio": res["magnus_error_ratio"],
+        },
     }
     im_grid, re_grid = np.meshgrid(im_vals, re_vals, indexing="ij")
     emit(payload, {

@@ -20,15 +20,18 @@ three Gauss nodes of every step, straight from the theta kernel, each
 step is the closed-form exponential of a traceless 2x2 matrix, and the
 ordered product is reduced pairwise in blocks, for a batch of energies
 at once.  V does not depend on E, so each loop keeps its samples per
-interval end and step count (t_end, steps) and every later trace on the
-problem reuses them: a band-edge refinement samples each node set once,
-not once per step.  The step count starts at 256 and doubles until the
-step-doubling estimate max |M_N - M_(N/2)| / 63 meets
-ATOL + RTOL max |M_N| at every energy of the batch, so the energies of a
-batch share one step count (batch results agree with one-at-a-time
-integration within the tolerances; all quantities compared against them
-carry much looser thresholds).  Every tolerance is a fixed module
-constant.
+interval end and step count (t_end, steps), all three nodes of every
+step from one theta-kernel call, and every later trace on the problem
+reuses them: a band-edge refinement samples each node set once, not once
+per step.  The step count starts at 128 and doubles; each energy stops at
+the first count where its own step-doubling estimate
+max |M_N - M_(N/2)| / 63 meets ATOL + RTOL max |M_N|, and only the
+energies still open are integrated at the next count.  An energy's step
+count can still depend on its batch, since the series bound _MU2_MAX is
+tested over the energies still open (batch results agree with
+one-at-a-time integration within the tolerances; all quantities compared
+against them carry much looser thresholds).  Every tolerance is a fixed
+module constant.
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ _MIN_CLEARANCE = 0.03
 
 def _potential(L: LatticeData, n, z):
     """V(z) = sum_k n_k(n_k+1) wp(z + w_k/2), summed in index order, for a
-    scalar or an array z."""
-    return sum(
-        n[k] * (n[k] + 1) * wp(z + L.half_periods[k], L)
-        for k in range(4)
-        if n[k] >= 1
-    )
+    scalar or an array z.  One evaluator call on the active shifted points
+    z + w_k/2, stacked on a last axis, serves every k."""
+    ks = [k for k in range(4) if n[k]]
+    shifts = np.array([L.half_periods[k] for k in ks])
+    p = wp(np.add.outer(z, shifts), L)
+    return sum(n[k] * (n[k] + 1) * p[..., j] for j, k in enumerate(ks))
 
 
 def _nearest_lattice_distance(z, tau: complex):
@@ -127,17 +130,15 @@ class PathPotential:
     def nodes(self, t_end: float, steps: int):
         """(V1, V2, V3): V at the Gauss nodes t_j - (sqrt(15)/10) h, t_j
         and t_j + (sqrt(15)/10) h of the ``steps`` equal steps
-        h = t_end / steps with midpoints t_j, one call per node set on
+        h = t_end / steps with midpoints t_j, all three from one call on
         first use; later calls return the same read-only arrays."""
         key = (t_end, steps)
         if key not in self._nodes:
             h = t_end / steps
             mid = (np.arange(steps) + 0.5) * h
-            samples = (self(mid - _GAUSS * h), self(mid),
-                       self(mid + _GAUSS * h))
-            for v in samples:
-                v.flags.writeable = False
-            self._nodes[key] = samples
+            v = self(mid + np.array([-_GAUSS * h, 0.0, _GAUSS * h])[:, None])
+            v.flags.writeable = False
+            self._nodes[key] = tuple(v)
         return self._nodes[key]
 
 
@@ -194,7 +195,7 @@ _GAUSS = math.sqrt(15.0) / 10.0
 # step-doubling error target of every transfer matrix: ATOL + RTOL max |M|
 RTOL = 1e-10
 ATOL = 1e-12
-_STEPS_START = 256       # first step count tried (a power of two)
+_STEPS_START = 128       # first step count tried (a power of two)
 _STEPS_MAX = 2 ** 16     # step doubling gives up past this count
 _BLOCK = 4096            # (energy x step) pairs per block of step matrices
 _TERMS = 6
@@ -266,20 +267,31 @@ def _magnus_product(pot: PathPotential, e, t_end, steps):
 def _transfer_batch(pot: PathPotential, e_values, t_end, rtol, atol):
     """Fundamental matrices Y(t_end) with Y(0)=I along ``pot`` for a batch
     of energies; state rows are (y, dy/dz).  The step count N doubles from
-    _STEPS_START until every energy has
-    max_ij |M_N - M_(N/2)| / 63 <= atol + rtol max_ij |M_N|
+    _STEPS_START, and each energy stops at the first N where its own
+    estimate max_ij |M_N - M_(N/2)| / 63 <= atol + rtol max_ij |M_N|
     (the step is 6th order, so halving h divides the error by 2^6 = 64).
-    Returns the matrices and the N the batch stopped at."""
+    Only the energies still live are integrated at the next N, and their
+    last product is the coarse one.  Returns the matrices, each energy's
+    N, and each energy's estimate over its bound (at most 1)."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
+    out = np.empty((len(e), 2, 2), dtype=complex)
+    steps_at = np.zeros(len(e), dtype=int)
+    ratio = np.zeros(len(e))
+    live = np.arange(len(e))
     steps = _STEPS_START
     coarse = _magnus_product(pot, e, t_end, steps // 2)
     while steps <= _STEPS_MAX:
-        fine = _magnus_product(pot, e, t_end, steps)
+        fine = _magnus_product(pot, e[live], t_end, steps)
         if coarse is not None and fine is not None:
             est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
-            scale = np.max(np.abs(fine), axis=(1, 2))
-            if np.all(est <= atol + rtol * scale):
-                return fine, steps
+            bound = atol + rtol * np.max(np.abs(fine), axis=(1, 2))
+            done = est <= bound
+            out[live[done]] = fine[done]
+            steps_at[live[done]] = steps
+            ratio[live[done]] = est[done] / bound[done]
+            live, fine = live[~done], fine[~done]
+            if live.size == 0:
+                return out, steps_at, ratio
         coarse = fine
         steps *= 2
     raise NonConvergenceError(
@@ -300,14 +312,20 @@ class MonodromyRecord:
 
 
 def _checked_batch(prob: GLEProblem, e_values, direction: str):
-    """Transfer matrices over one loop for a batch of energies (one shared
-    integration), each checked unimodular; returns them with |det M - 1|
-    and the Magnus step count."""
+    """Transfer matrices over one loop ("1" or "tau") for a batch of
+    energies (one shared integration), each checked unimodular; returns
+    them with |det M - 1|, the largest Magnus step count and the largest
+    step-doubling estimate over its bound.  No energies, a non-finite one
+    or another direction raises ValueError."""
     e = np.atleast_1d(np.asarray(e_values, dtype=complex))
+    if e.size == 0:
+        raise ValueError("energies must not be empty")
     if not np.all(np.isfinite(e)):
         raise ValueError("energies must be finite")
+    if direction not in prob.potentials:
+        raise ValueError(f'direction must be "1" or "tau", got {direction!r}')
     pot = prob.potentials[direction]
-    ms, steps = _transfer_batch(pot, e, 1.0, RTOL, ATOL)
+    ms, steps, ratio = _transfer_batch(pot, e, 1.0, RTOL, ATOL)
     dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
     det_errors = np.abs(dets - 1.0)
     # det = 1 is exact; the attainable accuracy degrades with the square of
@@ -317,12 +335,12 @@ def _checked_batch(prob: GLEProblem, e_values, direction: str):
     worst = float(np.max(det_errors / scale))
     if not worst <= 1e-8:  # a NaN fails too
         raise CheckError(f"transfer matrix determinant drift {worst:.2e}")
-    return ms, det_errors, steps
+    return ms, det_errors, int(np.max(steps)), float(np.max(ratio))
 
 
 def monodromy(prob: GLEProblem, e, direction: str = "1") -> MonodromyRecord:
     """Transfer matrix over one loop ("1" or "tau") at energy ``e``."""
-    ms, det_errors, _ = _checked_batch(prob, [e], direction)
+    ms, det_errors, _, _ = _checked_batch(prob, [e], direction)
     m = ms[0]
     return MonodromyRecord(
         E=complex(e), direction=direction, matrix=m,
@@ -332,9 +350,10 @@ def monodromy(prob: GLEProblem, e, direction: str = "1") -> MonodromyRecord:
 
 def trace_on_grid(prob: GLEProblem, e_values, direction: str = "1"):
     """Traces Delta(E) over a batch of energies (one shared integration),
-    and the Magnus step count the batch needed."""
-    ms, _, steps = _checked_batch(prob, e_values, direction)
-    return ms[:, 0, 0] + ms[:, 1, 1], steps
+    the largest Magnus step count of the batch, and the largest
+    step-doubling estimate over ATOL + RTOL max |M| (at most 1)."""
+    ms, _, steps, ratio = _checked_batch(prob, e_values, direction)
+    return ms[:, 0, 0] + ms[:, 1, 1], steps, ratio
 
 
 # relative commutator norm up to which the loop matrices commute
@@ -382,6 +401,7 @@ class BandStructure:
     deltas: np.ndarray = field(repr=False, compare=False)    # Delta on it
     magnus_steps: int     # largest Magnus step count of the traces
     trace_calls: int      # batched traces: the grid and each refinement step
+    magnus_error_ratio: float  # largest step-doubling estimate / its bound
 
     @property
     def finite_edges(self) -> tuple:
@@ -429,11 +449,12 @@ def stability_set_1d(
     NonConvergenceError with the width it reached: at once when its next
     point rounds to one of its ends (EDGE_TOL below the float spacing at
     the edge), or when the 200 steps run out.  ``magnus_steps`` is the
-    largest Magnus step count of the call and ``trace_calls`` the number
-    of batched traces.  A window that is not finite with e_min < e_max,
-    or a ``num`` that is not an integer >= 2 (a one-point grid has no
-    cell to bracket an edge in), raises ValueError before any
-    integration."""
+    largest Magnus step count of the call, ``magnus_error_ratio`` the
+    largest step-doubling estimate over ATOL + RTOL max |M| of its traces
+    and ``trace_calls`` the number of batched traces.  A window that is
+    not finite with e_min < e_max, or a ``num`` that is not an integer
+    >= 2 (a one-point grid has no cell to bracket an edge in), raises
+    ValueError before any integration."""
     if not (math.isfinite(e_min) and math.isfinite(e_max) and e_min < e_max):
         raise ValueError(
             f"energy window needs finite e_min < e_max, got {e_min!r}, {e_max!r}"
@@ -441,7 +462,7 @@ def stability_set_1d(
     if not (isinstance(num, numbers.Integral) and num >= 2):
         raise ValueError(f"num must be an integer >= 2, got {num!r}")
     grid = np.linspace(float(e_min), float(e_max), num)
-    deltas, magnus_steps = trace_on_grid(prob, grid, direction)
+    deltas, magnus_steps, error_ratio = trace_on_grid(prob, grid, direction)
     max_im = float(np.max(np.abs(deltas.imag) / (1.0 + np.abs(deltas))))
     if max_im > IM_TOL:
         raise CheckError(
@@ -482,9 +503,10 @@ def stability_set_1d(
                 f"band-edge bracket stalled at {np.max(width[stalled]):.3g} "
                 f"wide (adjacent floats), above edge_tol={EDGE_TOL:g}"
             )
-        trace, steps = trace_on_grid(prob, x, direction)
+        trace, steps, ratio = trace_on_grid(prob, x, direction)
         re = trace.real
         magnus_steps = max(magnus_steps, steps)
+        error_ratio = max(error_ratio, ratio)
         hit = np.abs(re) <= 2.0
         g = sgn[act] * re - 2.0
         # Illinois: the end that stays put a second time has its g halved
@@ -518,6 +540,7 @@ def stability_set_1d(
         deltas=deltas,
         magnus_steps=magnus_steps,
         trace_calls=1 + step,
+        magnus_error_ratio=error_ratio,
     )
 
 
@@ -540,17 +563,17 @@ def dual_torus_exclusion(
     (1e-4, times 1 + max |root|) of a root of Q.  Pass the coefficients
     of the spectral polynomial as ``qpoly``.  Both problems take
     make_problem's defaults; ``n`` is checked as by make_problem
-    (ValueError)."""
+    (ValueError), and a tau whose square is not real raises CheckError
+    before any integration."""
     n = _as_tuple(n)
     tau = complex(tau)
-    L = make_lattice(tau)
-    prob = make_problem(L, n)
-    bands = stability_set_1d(prob, e_min, e_max, num=num)
-
     tau2 = tau * tau
     if abs(tau2.imag) > 1e-12 * abs(tau2):
         raise CheckError("tau^2 must be real for the dual-axis comparison")
     t2 = tau2.real
+    L = make_lattice(tau)
+    prob = make_problem(L, n)
+    bands = stability_set_1d(prob, e_min, e_max, num=num)
 
     n_swap = (n[0], n[2], n[1], n[3])
     Ld = make_lattice(-1.0 / tau)
@@ -634,13 +657,14 @@ def unitarity_grid(prob: GLEProblem, qpoly: np.ndarray, re_values,
     points: ``at_root`` holds, or both traces are +-2 within
     |Delta^2 - 4| <= 16 TOL_IM.  Both traces are +-2 at every root of Q,
     and next to a root where Q is steep the residual test of ``at_root``
-    misses.  "tol_im" is TOL_IM and "magnus_steps" maps each loop to the
-    Magnus step count its batch needed."""
+    misses.  "tol_im" is TOL_IM, "magnus_steps" maps each loop to the
+    largest Magnus step count of its batch and "magnus_error_ratio" to the
+    largest step-doubling estimate over ATOL + RTOL max |M|."""
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
     ee = (re_values[None, :] + 1j * im_values[:, None]).ravel()
-    d1, steps1 = trace_on_grid(prob, ee, "1")
-    d2, steps2 = trace_on_grid(prob, ee, "tau")
+    d1, steps1, ratio1 = trace_on_grid(prob, ee, "1")
+    d2, steps2, ratio2 = trace_on_grid(prob, ee, "tau")
     shape = (len(im_values), len(re_values))
     d1 = d1.reshape(shape)
     d2 = d2.reshape(shape)
@@ -656,4 +680,5 @@ def unitarity_grid(prob: GLEProblem, qpoly: np.ndarray, re_values,
         "unitary": unitary,
         "tol_im": TOL_IM,
         "magnus_steps": {"1": steps1, "tau": steps2},
+        "magnus_error_ratio": {"1": ratio1, "tau": ratio2},
     }

@@ -162,6 +162,19 @@ def test_qpoly_deterministic_modulo_stamp(capsys):
     assert strip_stamp_json(a) == strip_stamp_json(b)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands", "--n", "1,1,1,1", "--tau", "0+1.2i", "--E", "-30:15:301"],
+    ["unitary", "--n", "2,0,0,0", "--tau", "0+1i", "--re", "-6:6:5",
+     "--im", "-2:2:3"],
+], ids=["bands", "unitary"])
+def test_integrator_documents_deterministic_modulo_stamp(capsys, argv):
+    # the step counts and error ratios in the diagnostics included
+    a = run(capsys, *argv)[1]
+    b = run(capsys, *argv)[1]
+    assert "magnus_error_ratio" in a
+    assert strip_stamp_json(a) == strip_stamp_json(b)
+
+
 def test_scan_csv_file_and_summary(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, out, _ = run(capsys, "scan", "--n", "2,0,0,0", "--b", "0.5:2:31",
@@ -371,8 +384,9 @@ def test_bands_payload(capsys):
     assert abs(second["lo"] - L.e3.real) < 1e-5
     assert abs(second["hi"] - L.e1.real) < 1e-5
     assert len(doc["rows"]) == 161
-    assert doc["diagnostics"]["magnus_steps"] == 256
+    assert doc["diagnostics"]["magnus_steps"] == 128
     assert 2 <= doc["diagnostics"]["trace_calls"] <= 1 + 8
+    assert 0.0 < doc["diagnostics"]["magnus_error_ratio"] <= 1.0
 
 
 def test_bands_rows_are_the_grid_traces(capsys):
@@ -381,7 +395,7 @@ def test_bands_rows_are_the_grid_traces(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     grid = parse_grid("-8:8:161")
-    deltas, _ = trace_on_grid(problem(1j, (1, 0, 0, 0)), grid)
+    deltas = trace_on_grid(problem(1j, (1, 0, 0, 0)), grid)[0]
     assert [r["E"] for r in rows] == grid.tolist()
     assert [r["re_delta"] for r in rows] == deltas.real.tolist()
     assert [r["im_delta"] for r in rows] == deltas.imag.tolist()
@@ -422,7 +436,11 @@ def test_unitary_grid_negative(capsys):
     assert doc["points"] == 15
     assert doc["any_unitary"] is False
     assert len(doc["rows"]) == 15
-    assert doc["diagnostics"] == {"magnus_steps": {"1": 256, "tau": 256}}
+    diag = doc["diagnostics"]
+    assert set(diag) == {"magnus_steps", "magnus_error_ratio"}
+    assert diag["magnus_steps"] == {"1": 128, "tau": 128}
+    assert set(diag["magnus_error_ratio"]) == {"1", "tau"}
+    assert all(0.0 < r <= 1.0 for r in diag["magnus_error_ratio"].values())
 
 
 def test_premodular_eval_matches_library(capsys):

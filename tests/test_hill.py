@@ -53,8 +53,8 @@ def test_trace_is_two_at_every_root():
 def test_batch_matches_single():
     prob = problem(1j, (2, 0, 0, 0))
     es = np.array([-8.0, -1.0, 2.5, 7.0 + 2.0j])
-    batch, steps = trace_on_grid(prob, es)
-    assert steps == 256
+    batch, steps, _ = trace_on_grid(prob, es)
+    assert steps == 128
     for e, d in zip(es, batch):
         assert abs(monodromy(prob, complex(e)).delta - d) < 1e-8
 
@@ -131,7 +131,7 @@ def test_exhausted_halving_budget_raises(monkeypatch):
 
     def synthetic(prob, e_values, direction="1"):
         calls.append(len(np.atleast_1d(e_values)))
-        return np.where(np.real(e_values) > 0.0, 3.0 + 0j, 0j), 256
+        return np.where(np.real(e_values) > 0.0, 3.0 + 0j, 0j), 128, 0.0
 
     monkeypatch.setattr(hill, "trace_on_grid", synthetic)
     monkeypatch.setattr(hill, "_EDGE_STEPS", 3)
@@ -143,19 +143,20 @@ def test_exhausted_halving_budget_raises(monkeypatch):
 
 def test_each_node_set_is_sampled_once(monkeypatch):
     # V does not depend on E: the grid pass and every refinement step share
-    # the node samples (three nodes per step) of the step counts 128 and 256
+    # the node samples of the step counts 64 and 128, all three nodes of
+    # each step from one sampling
     calls = []
     real = PathPotential.__call__
 
     def counting(self, t):
-        calls.append(len(t))
+        calls.append(np.shape(t))
         return real(self, t)
 
     prob = make_problem(lattice(1j), (1, 0, 0, 0))
     monkeypatch.setattr(PathPotential, "__call__", counting)
     bs = stability_set_1d(prob, -30.0, 30.0, num=1201)
     assert len(bs.finite_edges) == 3
-    assert calls == [128] * 3 + [256] * 3
+    assert calls == [(3, 64), (3, 128)]
 
 
 def _coarse_grid(prob):
@@ -191,10 +192,10 @@ def test_bisection_steps_are_determinant_checked(monkeypatch):
     real = hill._transfer_batch
 
     def broken(pot, e_values, t_end, rtol, atol):
-        ms, steps = real(pot, e_values, t_end, rtol, atol)
+        ms, steps, ratio = real(pot, e_values, t_end, rtol, atol)
         e = np.atleast_1d(np.asarray(e_values)).real
         ms[~np.isin(e, grid)] *= 2.0
-        return ms, steps
+        return ms, steps, ratio
 
     monkeypatch.setattr(hill, "_transfer_batch", broken)
     prob = problem(1j, (1, 0, 0, 0))
@@ -219,11 +220,12 @@ def test_edge_on_a_grid_point(root):
 def test_band_structure_reports_its_cost():
     prob = problem(1j, (1, 0, 0, 0))
     bs = stability_set_1d(prob, -8.0, 8.0, num=161)
-    assert bs.magnus_steps == 256
+    assert bs.magnus_steps == 128
     assert 2 <= bs.trace_calls <= 1 + 8
     again = stability_set_1d(prob, -8.0, 8.0, num=161)
-    assert (again.magnus_steps, again.trace_calls) == (bs.magnus_steps,
-                                                       bs.trace_calls)
+    assert 0.0 < bs.magnus_error_ratio <= 1.0
+    assert ((again.magnus_steps, again.trace_calls, again.magnus_error_ratio)
+            == (bs.magnus_steps, bs.trace_calls, bs.magnus_error_ratio))
 
 
 def test_band_structure_keeps_the_grid_traces():
@@ -286,6 +288,21 @@ def test_dual_torus_exclusion():
     assert max(res["piece_root_distances"]) <= 1e-4 * (
         1.0 + max(abs(r) for r in res["roots"])
     )
+
+
+def test_dual_torus_exclusion_refuses_a_nonreal_tau2_first(monkeypatch):
+    # on the rhombic tau = 0.6+0.8i Delta_1 is real on the axis, so only the
+    # tau^2 check can refuse it, and it does so before any trace
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("integrated before the tau^2 check")
+
+    monkeypatch.setattr(hill, "trace_on_grid", counting)
+    with pytest.raises(CheckError, match="tau\\^2 must be real"):
+        dual_torus_exclusion((1, 0, 0, 0), 0.6 + 0.8j, -12.0, 10.0, num=201)
+    assert calls == []
 
 
 def test_unitarity_probe_and_exclusion_at_real_energies():
@@ -356,7 +373,9 @@ def test_unitarity_grid_reports_the_step_counts():
     q, _ = _roots(1j, (2, 0, 0, 0))
     res = unitarity_grid(problem(1j, (2, 0, 0, 0)), q,
                          np.linspace(-12, 12, 7), np.linspace(-6, 6, 5))
-    assert res["magnus_steps"] == {"1": 256, "tau": 256}
+    assert res["magnus_steps"] == {"1": 128, "tau": 128}
+    assert set(res["magnus_error_ratio"]) == {"1", "tau"}
+    assert all(0.0 < r <= 1.0 for r in res["magnus_error_ratio"].values())
 
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5 + 0.9j, 1.7j])
@@ -372,7 +391,7 @@ def test_lame_one_traces_match_hermite(tau):
     za, e, _ = zeta_wp_wp_prime(a, L)
     for d, eta, w in (("1", L.eta1, 1.0), ("tau", L.eta2, tau)):
         want = 2.0 * np.cosh(a * eta - w * za)
-        got, _ = trace_on_grid(prob, e, d)
+        got = trace_on_grid(prob, e, d)[0]
         assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
 
 
@@ -490,7 +509,7 @@ def test_magnus_step_is_sixth_order():
 def test_step_doubling_estimate_bounds_the_error(tau, n, d):
     # M_(N/2) - M_N is 63 times the error of M_N to leading order
     pot = problem(tau, n).potentials[d]
-    ref, _ = _transfer_batch(pot, ENERGIES, 1.0, 1e-13, 1e-15)
+    ref = hill._magnus_product(pot, ENERGIES, 1.0, 4096)
     fine = hill._magnus_product(pot, ENERGIES, 1.0, 256)
     coarse = hill._magnus_product(pot, ENERGIES, 1.0, 128)
     est = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
@@ -506,9 +525,46 @@ def test_rtol_controls_the_error():
     ref = hill._magnus_product(pot, ENERGIES, 1.0, 4096)
     runs = [_transfer_batch(pot, ENERGIES, 1.0, rtol, 1e-15)
             for rtol in (1e-11, 1e-12)]
-    assert [steps for _, steps in runs] == [256, 512]
-    err = [np.max(np.abs(ms - ref)) for ms, _ in runs]
+    assert [steps.tolist() for _, steps, _ in runs] == [[256] * 4, [512] * 4]
+    err = [np.max(np.abs(ms - ref)) for ms, _, _ in runs]
     assert 0.0 < err[1] < err[0] / 4.0
+
+
+def test_each_energy_stops_at_its_own_step_count():
+    # E = -25 meets the tolerance at 128 steps and E = -1 needs 256; side
+    # by side, each keeps its own count and its one-at-a-time matrix
+    pot = problem(1.2j, (1, 1, 1, 1)).potentials["tau"]
+    alone = [_transfer_batch(pot, [e], 1.0, hill.RTOL, hill.ATOL)
+             for e in (-25.0, -1.0)]
+    assert [steps.tolist() for _, steps, _ in alone] == [[128], [256]]
+    ms, steps, ratio = _transfer_batch(pot, [-25.0, -1.0], 1.0, hill.RTOL,
+                                       hill.ATOL)
+    assert steps.tolist() == [128, 256]
+    assert np.all((0.0 < ratio) & (ratio <= 1.0))
+    for m, (m1, _, _) in zip(ms, alone):
+        assert np.max(np.abs(m - m1[0])) <= 1e-13 * np.max(np.abs(m1[0]))
+
+
+def _bands_window(tau, n, num):
+    # the window of a `bands` request: smallest root - 8 to largest + 5
+    _, roots = _roots(tau, n)
+    return np.linspace(roots.real.min() - 8.0, roots.real.max() + 5.0, num)
+
+
+@pytest.mark.parametrize("tau, n", [(1.1j, (2, 0, 0, 0)),
+                                    (1.2j, (1, 1, 1, 1))])
+@pytest.mark.parametrize("d", ["1", "tau"])
+def test_every_energy_meets_the_tolerance(tau, n, d):
+    # the energies that leave the batch early are as accurate as the rest:
+    # each is within twice its bound of a 4096-step product
+    pot = problem(tau, n).potentials[d]
+    e = _bands_window(tau, n, 901)
+    ms, steps, _ = _transfer_batch(pot, e, 1.0, hill.RTOL, hill.ATOL)
+    ref = hill._magnus_product(pot, e, 1.0, 4096)
+    err = np.max(np.abs(ms - ref), axis=(1, 2))
+    bound = hill.ATOL + hill.RTOL * np.max(np.abs(ms), axis=(1, 2))
+    assert np.all(err <= 2.0 * bound)
+    assert np.all(steps <= 256)
 
 
 def test_large_energies_refine_the_steps():
@@ -527,9 +583,32 @@ def test_nonfinite_energies_are_refused(e):
         trace_on_grid(problem(1j, (1, 0, 0, 0)), [0.5, e])
 
 
+@pytest.mark.parametrize("call", [
+    lambda prob, q: trace_on_grid(prob, []),
+    lambda prob, q: monodromy(prob, []),
+    lambda prob, q: unitarity_grid(prob, q, [], [0.0, 1.0]),
+    lambda prob, q: unitarity_grid(prob, q, [0.0, 1.0], []),
+], ids=["trace_on_grid", "monodromy", "unitarity_re", "unitarity_im"])
+def test_empty_energies_are_refused(call):
+    q, _ = _roots(1j, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="energies must not be empty"):
+        call(problem(1j, (1, 0, 0, 0)), q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda prob: monodromy(prob, 0.5, "2"),
+    lambda prob: trace_on_grid(prob, [0.5], "Tau"),
+    lambda prob: stability_set_1d(prob, -1.0, 1.0, num=5, direction="2"),
+], ids=["monodromy", "trace_on_grid", "stability_set_1d"])
+def test_unknown_direction_is_refused(call):
+    with pytest.raises(ValueError, match='"1" or "tau"'):
+        call(problem(1j, (1, 0, 0, 0)))
+
+
 def test_nan_transfer_matrix_fails_the_determinant_check(monkeypatch):
     monkeypatch.setattr(hill, "_transfer_batch",
-                        lambda *a: (np.full((1, 2, 2), np.nan + 0j), 256))
+                        lambda *a: (np.full((1, 2, 2), np.nan + 0j),
+                                    np.array([128]), np.zeros(1)))
     with pytest.raises(CheckError, match="determinant"):
         monodromy(problem(1j, (1, 0, 0, 0)), 0.5)
 
