@@ -10,8 +10,8 @@ entire in E.  On top of the raw integrator this module provides:
 * real-axis stability sets {E : Delta real, |Delta| <= 2} with band
   edges refined all together by Illinois regula falsi, one batched
   determinant-checked trace per step;
-* a two-torus intersection probe (the same potential transported to the
-  lattice of -1/tau shares only the spectral-curve branch points);
+* a certificate, from one trace per loop, that on a rectangular torus
+  the real-axis bands of the two loops meet only at the roots of Q;
 * the unitarity of the monodromy representation on a complex E grid:
   both traces real in [-2, 2] at a point that is not a branch point.
 
@@ -45,7 +45,7 @@ from numpy.polynomial import polynomial as npp
 
 from .elliptic import LatticeData, make_lattice, wp
 from .errors import CheckError, NonConvergenceError, PoleError
-from .spectral import _as_tuple, q_via_phi_ansatz, roots_and_classify
+from .spectral import _as_tuple, spectral_report
 
 __all__ = [
     "GLEProblem",
@@ -57,7 +57,7 @@ __all__ = [
     "trace_on_grid",
     "commutator_check",
     "stability_set_1d",
-    "dual_torus_exclusion",
+    "rectangular_certificate",
     "unitarity_grid",
     "at_root",
     "ROOT_FACTOR",
@@ -416,7 +416,7 @@ class BandStructure:
 
 _EDGE_STEPS = 200        # refinement budget per stability_set_1d call
 EDGE_TOL = 1e-8          # width to which each band-edge bracket is refined
-IM_TOL = 1e-6            # largest |Im Delta| / (1 + |Delta|) on the grid
+IM_TOL = 1e-6            # largest |Im Delta| / (1 + |Delta|) of a real trace
 
 
 def stability_set_1d(
@@ -544,78 +544,67 @@ def stability_set_1d(
     )
 
 
-# an intersection piece must lie this close (times 1 + max |root|) to a root
-_DUAL_ROOT_TOL = 1e-4
+# ── the rectangular claim on the real axis ────────────────────────────────
 
+def rectangular_certificate(n, b) -> dict:
+    """Certify on the rectangular torus tau = ib that the real-axis bands
+    of the two loops meet only at the real roots of Q, from one trace per
+    loop and no energy grid.
 
-def dual_torus_exclusion(
-    n,
-    tau: complex,
-    e_min: float,
-    e_max: float,
-    num: int = 801,
-    qpoly: np.ndarray | None = None,
-) -> dict:
-    """Intersect the period-1 stability set with its transport to the
-    lattice of -1/tau (middle multiplicities swapped, energies scaled by
-    tau^2).  The overlap should shrink to the spectral-curve branch
-    points: every intersection piece must lie within _DUAL_ROOT_TOL
-    (1e-4, times 1 + max |root|) of a root of Q.  Pass the coefficients
-    of the spectral polynomial as ``qpoly``.  Both problems take
-    make_problem's defaults; ``n`` is checked as by make_problem
-    (ValueError), and a tau whose square is not real raises CheckError
-    before any integration."""
+    For a finite-gap potential the odd-order zeros of Delta^2 - 4 are the
+    roots of Q (Gesztesy & Weikard, Acta Math. 176, 1996), so
+    (Delta^2 - 4)/Q has only even-order zeros, and on a rectangular torus
+    Q and both traces are real on the real axis: each ratio keeps one sign
+    there.  That sign is read at one far energy per loop, max Re root +
+    span for loop 1 and min Re root - span for loop tau, with
+    span = 1 + max |root|.  Positive on loop 1 and negative on loop tau
+    (Q monic) mean that loop 1 is in a band exactly where Q < 0 and loop
+    tau exactly where Q > 0, so the bands meet only where Q = 0.
+
+    ``n`` is checked as by make_problem and b must be finite and > 0
+    (ValueError), before any work; Q comes from spectral_report, whose
+    refusals propagate, as do NonConvergenceError and PoleError.  Each far
+    trace is one single-energy integration; its bound is
+    2 (ATOL + RTOL max |M|), the largest trace error step doubling
+    accepts.  CheckError, naming the loop, E, Delta and the bound, when a
+    far trace is not real (relative IM_TOL), when |Re Delta| - 2 is within
+    its bound, or when a sign is the wrong one.  The record holds ``n``,
+    ``b``, the ``roots`` of Q, per loop ``E``, ``delta``, ``bound``,
+    ``margin_ratio`` (|Re Delta| - 2)/bound, ``magnus_steps`` and
+    ``sign``, and ``lame``: for (n, 0, 0, 0) the potential is real on the
+    pole-free real lines, so a trace in [-2, 2] forces E real and the
+    axis claim is the whole claim at that b."""
     n = _as_tuple(n)
-    tau = complex(tau)
-    tau2 = tau * tau
-    if abs(tau2.imag) > 1e-12 * abs(tau2):
-        raise CheckError("tau^2 must be real for the dual-axis comparison")
-    t2 = tau2.real
-    L = make_lattice(tau)
+    if not (isinstance(b, numbers.Real) and math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be finite and > 0, got {b!r}")
+    L = make_lattice(1j * b)
+    rep = spectral_report(L, n)
+    roots = np.asarray(rep.root_report.roots)
+    span = 1.0 + float(np.max(np.abs(roots)))
     prob = make_problem(L, n)
-    bands = stability_set_1d(prob, e_min, e_max, num=num)
-
-    n_swap = (n[0], n[2], n[1], n[3])
-    Ld = make_lattice(-1.0 / tau)
-    prob_d = make_problem(Ld, n_swap)
-    lo_d, hi_d = sorted((t2 * e_min, t2 * e_max))
-    bands_d = stability_set_1d(prob_d, lo_d, hi_d, num=num)
-
-    mapped = []
-    for b in bands_d.bands:
-        lo, hi = sorted((b.lo / t2, b.hi / t2))
-        ol, orr = (b.open_right, b.open_left) if t2 < 0 else (b.open_left, b.open_right)
-        mapped.append(Band(lo, hi, ol, orr))
-    mapped.sort(key=lambda b: b.lo)
-
-    pieces = []
-    for a in bands.bands:
-        for b in mapped:
-            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-            if lo <= hi:
-                pieces.append((float(lo), float(hi)))
-
-    if qpoly is None:
-        qpoly = q_via_phi_ansatz(L, n)
-    roots = np.asarray(roots_and_classify(qpoly).roots)
-    real_roots = roots.real
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    distances = []
-    for lo, hi in pieces:
-        d = np.min(np.maximum(0.0, np.maximum(real_roots - hi, lo - real_roots)))
-        distances.append(float(d))
-    passed = all(d <= _DUAL_ROOT_TOL * scale for d in distances)
-    return {
-        "n": n,
-        "tau": tau,
-        "bands": bands,
-        "dual_bands_mapped": tuple(mapped),
-        "pieces": tuple(pieces),
-        "piece_root_distances": tuple(distances),
-        "roots": tuple(roots.tolist()),
-        "root_tol": _DUAL_ROOT_TOL,
-        "passed": passed,
-    }
+    out = {"n": n, "b": float(b), "roots": tuple(roots.tolist()),
+           "lame": n[1] == n[2] == n[3] == 0}
+    for loop, e, want in (("1", float(np.max(roots.real)) + span, 1.0),
+                          ("tau", float(np.min(roots.real)) - span, -1.0)):
+        ms, _, steps, _ = _checked_batch(prob, [e], loop)
+        m = ms[0]
+        delta = complex(m[0, 0] + m[1, 1])
+        bound = 2.0 * (ATOL + RTOL * float(np.max(np.abs(m))))
+        sign = float(np.sign((delta.real ** 2 - 4.0)
+                             / npp.polyval(e, rep.coeffs).real))
+        where = (f"loop {loop} at E = {e:.6g}: Delta = {delta:.6g}, "
+                 f"bound {bound:.2e}")
+        if abs(delta.imag) > IM_TOL * (1.0 + abs(delta)):
+            raise CheckError(f"far trace is not real on {where}")
+        if not abs(delta.real) - 2.0 > bound:
+            raise CheckError(f"far trace not clear of +-2 on {where}")
+        if sign != want:
+            raise CheckError(f"(Delta^2 - 4)/Q has sign {sign:+g}, "
+                             f"not {want:+g}, on {where}")
+        out[loop] = {"E": e, "delta": delta, "bound": bound,
+                     "margin_ratio": (abs(delta.real) - 2.0) / bound,
+                     "magnus_steps": steps, "sign": sign}
+    return out
 
 
 # ── unitarity of the monodromy representation ─────────────────────────────

@@ -29,8 +29,8 @@ FIXED = [
     ("premodular", "boundary_tau_samples", "h_min"),
     ("premodular", "boundary_tau_samples", "h_max"),
     ("hill", "commutator_check", "tol"),
-    ("hill", "dual_torus_exclusion", "root_tol"),
-    ("hill", "dual_torus_exclusion", "problem_kw"),
+    ("hill", "rectangular_certificate", "num"),
+    ("hill", "rectangular_certificate", "e_min"),
     ("heun", "interlacing_check", "tol_im"),
     ("heun", "interlacing_check", "tol_gap"),
     ("spectral", "modular_covariance_check", "match_tol"),

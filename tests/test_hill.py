@@ -13,14 +13,18 @@ from tvspec.hill import (
     _transfer_batch,
     at_root,
     commutator_check,
-    dual_torus_exclusion,
     make_problem,
     monodromy,
+    rectangular_certificate,
     stability_set_1d,
     trace_on_grid,
     unitarity_grid,
 )
-from tvspec.spectral import q_via_phi_ansatz, roots_and_classify
+from tvspec.spectral import (
+    q_via_phi_ansatz,
+    roots_and_classify,
+    spectral_report,
+)
 
 from conftest import lattice, problem
 
@@ -261,16 +265,14 @@ def test_hill_refuses_vacuous_tolerances(tol):
 
 @pytest.mark.parametrize("num", [-1, 0, 1, 2.5])
 def test_stability_rejects_a_grid_without_cells(num, monkeypatch):
-    # one grid point would give a band [e_min, e_min] open at both ends,
-    # on which a dual-torus check passes vacuously; 2.5 would be truncated
+    # one grid point would give a band [e_min, e_min] open at both ends;
+    # 2.5 would be truncated
     def no_trace(*args, **kwargs):
         raise AssertionError("a trace was integrated")
 
     monkeypatch.setattr(hill, "trace_on_grid", no_trace)
     with pytest.raises(ValueError, match="num must be an integer >= 2"):
         stability_set_1d(problem(1j, (1, 0, 0, 0)), -8.0, 8.0, num=num)
-    with pytest.raises(ValueError, match="num must be an integer >= 2"):
-        dual_torus_exclusion((1, 0, 0, 0), 1j, -8.0, 8.0, num=num)
 
 
 def test_stability_rejects_nonreal_trace():
@@ -279,30 +281,82 @@ def test_stability_rejects_nonreal_trace():
         stability_set_1d(prob, -4.0, 4.0, num=21)
 
 
-def test_dual_torus_exclusion():
-    q, _ = _roots(1.5j, (1, 0, 0, 0))
-    res = dual_torus_exclusion((1, 0, 0, 0), 1.5j, -12.0, 10.0, num=801,
-                               qpoly=q)
-    assert res["passed"]
-    assert len(res["pieces"]) >= 1
-    assert max(res["piece_root_distances"]) <= 1e-4 * (
-        1.0 + max(abs(r) for r in res["roots"])
-    )
+# the tuples of the rectangular theorem: Lame, three with neither
+# condition, and one each of the C1 and C2 conditions
+CERT_TUPLES = [(1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (4, 0, 0, 0),
+               (1, 1, 1, 1), (3, 1, 0, 0), (2, 2, 1, 1), (0, 2, 1, 0),
+               (2, 0, 0, 1)]
 
 
-def test_dual_torus_exclusion_refuses_a_nonreal_tau2_first(monkeypatch):
-    # on the rhombic tau = 0.6+0.8i Delta_1 is real on the axis, so only the
-    # tau^2 check can refuse it, and it does so before any trace
+@pytest.mark.parametrize("n", [(1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 1, 1)])
+def test_rectangular_certificate_fails_with_the_loops_swapped(n, monkeypatch):
+    # swapped, the far energy of loop 1 lands in a band of loop tau
+    checked_batch = hill._checked_batch
+
+    def swapped(prob, e_values, direction):
+        other = {"1": "tau", "tau": "1"}[direction]
+        return checked_batch(prob, e_values, other)
+
+    monkeypatch.setattr(hill, "_checked_batch", swapped)
+    with pytest.raises(CheckError, match="loop 1 at E"):
+        rectangular_certificate(n, 1.5)
+
+
+@pytest.mark.parametrize("b", [0, -1.0, math.nan, math.inf])
+def test_rectangular_certificate_refuses_a_bad_b_first(b, monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        raise AssertionError("integrated before the tau^2 check")
+        raise AssertionError("integrated before the b check")
 
-    monkeypatch.setattr(hill, "trace_on_grid", counting)
-    with pytest.raises(CheckError, match="tau\\^2 must be real"):
-        dual_torus_exclusion((1, 0, 0, 0), 0.6 + 0.8j, -12.0, 10.0, num=201)
+    monkeypatch.setattr(hill, "_checked_batch", counting)
+    monkeypatch.setattr(hill, "spectral_report", counting)
+    with pytest.raises(ValueError, match="b must be finite and > 0"):
+        rectangular_certificate((1, 0, 0, 0), b)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", CERT_TUPLES)
+def test_rectangular_certificate_far_traces_match_a_finer_product(n):
+    b = 1.1
+    res = rectangular_certificate(n, b)
+    assert res["n"] == n and res["b"] == b
+    assert res["lame"] == (n[1] == n[2] == n[3] == 0)
+    prob = make_problem(lattice(1j * b), n)
+    for loop, sign in (("1", 1.0), ("tau", -1.0)):
+        rec = res[loop]
+        m = hill._magnus_product(prob.potentials[loop],
+                                 np.array([rec["E"]], dtype=complex), 1.0,
+                                 4 * rec["magnus_steps"])[0]
+        assert abs(m[0, 0] + m[1, 1] - rec["delta"]) <= rec["bound"]
+        assert rec["sign"] == sign
+        assert rec["margin_ratio"] > 1e6
+
+
+def test_rectangular_certificate_sign_law_at_root_midpoints():
+    # the law the certificate reads from two far traces: between
+    # consecutive real roots loop 1 is in a band exactly where Q < 0 and
+    # loop tau exactly where Q > 0 (where both traces are clear of +-2)
+    checked = 0
+    for n in CERT_TUPLES[:7]:
+        for b in np.linspace(0.5, 2.5, 9):
+            L = lattice(complex(0.0, b))
+            rep = spectral_report(L, n)
+            roots = np.asarray(rep.root_report.roots)
+            real = np.sort(roots[np.abs(roots.imag) <= 1e-6 * (
+                1.0 + np.max(np.abs(roots)))].real)
+            mids = 0.5 * (real[1:] + real[:-1])
+            prob = make_problem(L, n)
+            d1 = trace_on_grid(prob, mids, "1")[0].real
+            dt = trace_on_grid(prob, mids, "tau")[0].real
+            q = np.polynomial.polynomial.polyval(mids, rep.coeffs).real
+            clear = ((np.abs(np.abs(d1) - 2.0) > 1e-6)
+                     & (np.abs(np.abs(dt) - 2.0) > 1e-6))
+            assert np.all(((np.abs(d1) < 2.0) == (q < 0.0))[clear]), (n, b)
+            assert np.all(((np.abs(dt) < 2.0) == (q > 0.0))[clear]), (n, b)
+            checked += int(np.sum(clear))
+    assert checked >= 150
 
 
 def test_unitarity_probe_and_exclusion_at_real_energies():
@@ -452,7 +506,7 @@ def test_multiplicities_are_checked(n, match):
     with pytest.raises(ValueError, match=match):
         make_problem(lattice(1j), n)
     with pytest.raises(ValueError, match=match):
-        dual_torus_exclusion(n, 1j, -8.0, 8.0)
+        rectangular_certificate(n, 1.0)
 
 
 def test_problem_construction_guards():
